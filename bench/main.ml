@@ -98,9 +98,9 @@ let regenerate_table1_slice () =
      anytime incumbents and inherently timing-dependent at any worker
      count.
    - "hard": the seven Table-1 rows the minimal strategy historically
-     could not prove within generous budgets, 90 s per row with the
-     full incremental machinery (parallel workers, symmetry breaking,
-     cube-and-conquer).  Every record carries an explicit
+     could not prove within generous budgets, 90 s per row at the
+     recommended worker count (with symmetry breaking on, as by
+     default).  Every record carries an explicit
      "timed_out" boolean — true iff the budget expired before the
      proof closed — so compare.ml can flag rows that newly finish
      (improvement) or newly time out (regression). *)
@@ -118,20 +118,15 @@ let hard_names =
 
 let emit_json ~suite ?flight_prefix file =
   let jpar = max 2 (Domain.recommended_domain_count ()) in
-  let entries, budget, jobs_list, cubes =
+  let entries, budget, jobs_list =
     match suite with
-    | "hard" ->
-        ( List.filter_map Suite.by_name hard_names,
-          90.0,
-          [ jpar ],
-          true )
+    | "hard" -> (List.filter_map Suite.by_name hard_names, 90.0, [ jpar ])
     | _ ->
         ( List.filter
             (fun (e : Suite.entry) -> e.paper.cnots <= 14)
             (Suite.all ()),
           30.0,
-          [ 1; jpar ],
-          false )
+          [ 1; jpar ] )
   in
   let suite = if suite = "hard" then "hard" else "quick" in
   let records = ref [] in
@@ -145,7 +140,6 @@ let emit_json ~suite ?flight_prefix file =
               strategy = Strategy.Minimal;
               timeout = Some budget;
               jobs;
-              cubes = cubes && jobs > 1;
             }
           in
           (* Search telemetry rides along at its default cadence: the

@@ -3,7 +3,7 @@
    One input file: a Chrome trace or NDJSON event stream (qxmap
    --trace/--events), or a flight-recorder dump (qxmapd/qxmap/bench
    --flight-record).  Prints wall-time attribution (phase, portfolio
-   stage, candidate, rung, cube), top-k hot spans with interpolated
+   stage, candidate, rung), top-k hot spans with interpolated
    p50/p90/p99, and the objective-bound trajectory.
 
    Two input files: both must be bench JSON (bench/main.ml --json);
@@ -82,7 +82,7 @@ let () =
     Cmd.info "qxm_prof" ~version:"1.0.0"
       ~doc:
         "Offline profile reports for qxmap/qxmapd observability \
-         artifacts: wall-time attribution (phase, stage, rung, cube), \
+         artifacts: wall-time attribution (phase, stage, rung), \
          hot spans with p50/p90/p99, objective trajectory, and bench \
          regression diffs.  See doc/OBSERVABILITY.md."
   in

@@ -142,16 +142,29 @@ let report_summary (r : Mapper.report) =
     | None -> "")
 
 (* Aggregated solver counters (see doc/PERFORMANCE.md for how to read
-   them), printed on stderr so the QASM stream on stdout stays clean. *)
-let print_sat_stats (s : Solver.stats) =
+   them), printed on stderr so the QASM stream on stdout stays clean.
+   Takes the [Solver.stats_counters] (name, value) view, so a failed run
+   can print the same lines from a metrics snapshot diff. *)
+let print_sat_stats counters =
+  let c k = Option.value ~default:0 (List.assoc_opt k counters) in
   Printf.eprintf
     "solver: %d conflicts, %d decisions, %d propagations (%d binary), %d \
      restarts\n\
      solver: glue histogram 1:%d 2:%d 3-4:%d 5-8:%d 9+:%d\n\
      solver: %d literals minimized away, %d clauses subsumed, %d vivified\n"
-    s.conflicts s.decisions s.propagations s.binary_propagations s.restarts
-    s.glue_1 s.glue_2 s.glue_3_4 s.glue_5_8 s.glue_9_plus s.minimized_lits
-    s.subsumed_clauses s.vivified_clauses
+    (c "conflicts") (c "decisions") (c "propagations")
+    (c "binary_propagations") (c "restarts") (c "glue_1") (c "glue_2")
+    (c "glue_3_4") (c "glue_5_8") (c "glue_9_plus") (c "minimized_lits")
+    (c "subsumed_clauses") (c "vivified_clauses")
+
+(* The solver counters a run added to the metrics registry, in
+   [Solver.stats_counters] order: [diff] is a snapshot diff taken around
+   the call.  A failed run has no report to carry [sat_stats], so this is
+   where its work is read from. *)
+let sat_counters_of_diff diff =
+  List.map
+    (fun (k, _) -> (k, Metrics.count diff ("solver." ^ k)))
+    (Solver.stats_counters Solver.zero_stats)
 
 (* -- machine-readable report ---------------------------------------------- *)
 
@@ -191,9 +204,23 @@ module Json = struct
     ^ "}"
 end
 
-let json_sat_stats stats =
-  Json.obj
-    (List.map (fun (k, v) -> (k, Json.int v)) (Solver.stats_counters stats))
+let json_counters counters =
+  Json.obj (List.map (fun (k, v) -> (k, Json.int v)) counters)
+
+let json_sat_stats stats = json_counters (Solver.stats_counters stats)
+
+let json_stages stages =
+  Json.arr
+    (List.map
+       (fun (s : Portfolio.stage) ->
+         Json.obj
+           [
+             ("stage", Json.str s.stage);
+             ("spent_s", Json.float s.spent);
+             ("solves", Json.int s.solves);
+             ("outcome", Json.str s.outcome);
+           ])
+       stages)
 
 let json_trajectory traj =
   Json.arr
@@ -248,22 +275,30 @@ let portfolio_json ~input ~output (r : Portfolio.report) =
        ("verified", Json.opt Json.bool r.verified);
        ("runtime_s", Json.float r.runtime);
        ("solves", Json.int r.solves);
-       ( "stages",
-         Json.arr
-           (List.map
-              (fun (s : Portfolio.stage) ->
-                Json.obj
-                  [
-                    ("stage", Json.str s.stage);
-                    ("spent_s", Json.float s.spent);
-                    ("solves", Json.int s.solves);
-                    ("outcome", Json.str s.outcome);
-                  ])
-              r.stages) );
+       ("stages", json_stages r.stages);
        ("trajectory", json_trajectory r.trajectory);
        ("sat_stats", json_sat_stats r.sat_stats);
      ]
     @ json_payload ~output r.elementary)
+
+(* The --json object of a failed run: the failure text, the wall time
+   and the solver counters it spent, so a failure reports as much as a
+   success does. *)
+let failure_json ~mode ~input ~failure ~runtime ?stages counters =
+  (* the printer's break hints may wrap a long stage list; keep one line *)
+  let failure = String.concat " " (String.split_on_char '\n' failure) in
+  Json.obj
+    ([
+       ("mode", Json.str mode);
+       ("input", Json.str input);
+       ("failed", Json.bool true);
+       ("failure", Json.str failure);
+       ("runtime_s", Json.float runtime);
+     ]
+    @ (match stages with
+      | Some st -> [ ("stages", json_stages st) ]
+      | None -> [])
+    @ [ ("sat_stats", json_counters counters) ])
 
 (* -- live progress -------------------------------------------------------- *)
 
@@ -652,18 +687,6 @@ let map_cmd =
              the run to prove minimality; exits 1 otherwise.  See \
              doc/CERTIFICATES.md.")
   in
-  let cubes_arg =
-    Arg.(
-      value & flag
-      & info [ "cubes" ]
-          ~doc:
-            "Cube-and-conquer the exact search: split the top-level \
-             initial-layout choice of the most-used logical qubit into \
-             one cube per physical position and fan the cubes over the \
-             worker pool with shared-incumbent pruning.  With \
-             $(b,--portfolio) and $(b,-j)>1 the cube lane additionally \
-             races the incremental conflict ladder.")
-  in
   let no_symmetry_arg =
     Arg.(
       value & flag
@@ -689,7 +712,7 @@ let map_cmd =
   in
   let run input device strategy subsets timeout portfolio stage_budget
       fallback inject lint sanitize solver_stats jobs trace events
-      metrics_out flight_record progress cubes no_symmetry certificate json
+      metrics_out flight_record progress no_symmetry certificate json
       output draw =
     let jobs = max 1 jobs in
     if sanitize then Solver.set_sanitize_all true;
@@ -751,6 +774,21 @@ let map_cmd =
           end
     in
     Option.iter Fault.arm inject;
+    (* What a failed run reports in place of a report: its wall time and
+       the solver counters it added to the metrics registry, on stderr
+       under --stats and as the --json object.  Exits 1. *)
+    let t0 = Unix.gettimeofday () and before = Metrics.snapshot () in
+    let fail ~mode ?stages failure =
+      let runtime = Unix.gettimeofday () -. t0 in
+      let counters =
+        sat_counters_of_diff (Metrics.diff (Metrics.snapshot ()) before)
+      in
+      if solver_stats then print_sat_stats counters;
+      if json then
+        print_endline
+          (failure_json ~mode ~input ~failure ~runtime ?stages counters);
+      exit 1
+    in
     if portfolio then begin
       let options =
         {
@@ -761,7 +799,6 @@ let map_cmd =
               strategy;
               use_subsets = subsets;
               jobs;
-              cubes;
               symmetry = not no_symmetry;
               certificate = certificate <> None;
             };
@@ -780,7 +817,8 @@ let map_cmd =
             || List.mem "cancelled" r.notes
           then flight_dump "deadline_expired";
           portfolio_summary r;
-          if solver_stats then print_sat_stats r.sat_stats;
+          if solver_stats then
+            print_sat_stats (Solver.stats_counters r.sat_stats);
           if draw && not json then Draw.print r.elementary;
           lint_output r.elementary;
           Option.iter
@@ -801,7 +839,12 @@ let map_cmd =
           write_observability ();
           flight_dump "failure";
           Format.eprintf "mapping failed: %a@." Portfolio.pp_failure e;
-          exit 1
+          fail ~mode:"portfolio"
+            ?stages:
+              (match e with
+              | Portfolio.Exhausted stages -> Some stages
+              | Portfolio.Too_many_logical _ -> None)
+            (Format.asprintf "%a" Portfolio.pp_failure e)
     end
     else begin
       let options =
@@ -811,7 +854,6 @@ let map_cmd =
           use_subsets = subsets;
           timeout;
           jobs;
-          cubes;
           symmetry = not no_symmetry;
           certificate = certificate <> None;
         }
@@ -822,7 +864,8 @@ let map_cmd =
           write_observability ();
           if (not r.optimal) && timeout <> None then flight_dump "timeout";
           report_summary r;
-          if solver_stats then print_sat_stats r.sat_stats;
+          if solver_stats then
+            print_sat_stats (Solver.stats_counters r.sat_stats);
           if draw && not json then Draw.print r.elementary;
           lint_output r.elementary;
           Option.iter
@@ -844,7 +887,7 @@ let map_cmd =
           flight_dump
             (match e with Mapper.Timeout -> "timeout" | _ -> "failure");
           Format.eprintf "mapping failed: %a@." Mapper.pp_failure e;
-          exit 1
+          fail ~mode:"exact" (Format.asprintf "%a" Mapper.pp_failure e)
     end
   in
   Cmd.v
@@ -857,7 +900,7 @@ let map_cmd =
       $ timeout_arg $ portfolio_arg $ stage_budget_arg $ fallback_arg
       $ inject_arg $ lint_arg $ sanitize_arg $ solver_stats_arg $ jobs_arg
       $ trace_arg $ events_arg $ metrics_out_arg $ flight_record_arg
-      $ progress_arg $ cubes_arg $ no_symmetry_arg $ certificate_arg
+      $ progress_arg $ no_symmetry_arg $ certificate_arg
       $ json_arg $ output_arg $ draw_arg)
 
 let heuristic_cmd =

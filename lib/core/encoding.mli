@@ -91,14 +91,6 @@ val symmetry : built -> bool
 (** Whether the encoding includes the lex-leader symmetry-breaking
     constraints ([build]'s [symmetry] flag). *)
 
-val layout_lit : built -> int -> int -> Qxm_sat.Lit.t
-(** [layout_lit b i j] is the initial-layout variable x⁰_ij — logical
-    qubit [j] sits on physical qubit [i] during segment 0.  The
-    cube-and-conquer driver pins these inside retractable clause groups
-    to split the top-level layout choice; because Eq. (1) makes the
-    choices for a fixed [j] exhaustive and mutually exclusive, the pins
-    over all [i] partition the model space. *)
-
 val mapping_of_model : built -> bool array -> int array array
 (** Per segment: array [place] with [place.(j)] = physical qubit hosting
     logical [j]. *)

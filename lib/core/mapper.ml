@@ -35,12 +35,10 @@ type options = {
   seed : int;
   certificate : bool;
   symmetry : bool;
-  cubes : bool;
 }
 
 let candidates_pruned = lazy (Metrics.counter "mapper.candidates_pruned")
 let ladder_reuse_hits = lazy (Metrics.counter "mapper.ladder_reuse_hits")
-let cubes_pruned_total = lazy (Metrics.counter "mapper.cubes_pruned")
 
 (* [QXM_JOBS] lets a whole process (most usefully: the test suite under
    CI) opt into parallel candidate fan-out without touching call sites. *)
@@ -69,7 +67,6 @@ let default =
     seed = 0;
     certificate = false;
     symmetry = true;
-    cubes = false;
   }
 
 (* Symmetry breaking is applied under the [Minimal] strategy (the one
@@ -450,249 +447,6 @@ let solve_instance ~(options : options) ~obs ~cancel ~deadline ~bound ?session
         }
   | _ -> `Budget stats
 
-(* -- cube-and-conquer ---------------------------------------------------- *)
-
-(* Pivot for cube splitting: the logical qubit touched by the most
-   CNOTs — the one whose initial position the encoding constrains
-   hardest, so the cubes diverge early and deeply. *)
-let cube_pivot (inst : Encoding.instance) =
-  let use = Array.make inst.Encoding.num_logical 0 in
-  Array.iter
-    (fun (c, t) ->
-      use.(c) <- use.(c) + 1;
-      use.(t) <- use.(t) + 1)
-    inst.Encoding.cnots;
-  let best = ref 0 in
-  Array.iteri (fun j u -> if u > use.(!best) then best := j) use;
-  !best
-
-type cube_chunk_result = {
-  cc_stats : Solver.stats;
-  cc_solves : int;
-  cc_concluded : bool; (* every cube of this chunk ran to a conclusion *)
-}
-
-(* Cube-and-conquer over the top-level initial-layout choice: one cube
-   per physical position of the pivot qubit (Eq. (1) makes those
-   exhaustive and mutually exclusive, so the cubes partition the model
-   space).  Cubes are striped round-robin over [nchunks] chunks; each
-   chunk owns one long-lived solver + encoding + minimization session
-   and works its cubes through retractable clause groups, so learnt
-   clauses and descent bounds carry from cube to cube.  Chunks share an
-   incumbent (published best model) for cross-chunk pruning, and an
-   UNSAT core that never mentions a cube's pin kills every sibling cube
-   at once ([mapper.cubes_pruned]).
-
-   The sibling-kill inference ("no model with F ≤ E at all") is only
-   drawn under [Linear_descent], whose bounds are permanently enforced
-   clauses; binary search refutes via assumptions, so its UNSAT answers
-   prove nothing pin-independent.  Cube encodings never include the
-   lex-leader symmetry clauses — a pin together with them could exclude
-   every optimum of the cube — and never log proofs: a scoped UNSAT is
-   conditional, so certificates are re-derived by the canonical fresh
-   re-solve instead. *)
-let solve_instance_cubes ~(options : options) ~obs ~cancel ~deadline ~bound
-    ?pool inst =
-  let m = Coupling.num_qubits inst.Encoding.arch in
-  let pivot = cube_pivot inst in
-  let nchunks =
-    match pool with Some p -> max 1 (min (Pool.size p) m) | None -> 1
-  in
-  let lock = Mutex.create () in
-  let best : (int * bool array * Encoding.built) option ref = ref None in
-  (* proven "no model with F <= exclusion" (from pin-free UNSAT cores) *)
-  let exclusion = ref min_int in
-  let unsat_all = ref false in (* pin-free UNSAT with no bound in force *)
-  let stop = ref false in
-  let pruned = ref 0 in
-  let publish c mdl built =
-    Mutex.lock lock;
-    (match !best with
-    | Some (c0, _, _) when c0 <= c -> ()
-    | _ -> best := Some (c, mdl, built));
-    Mutex.unlock lock
-  in
-  let shared_cap () =
-    Mutex.lock lock;
-    let c = match !best with Some (c, _, _) -> Some (c - 1) | None -> None in
-    Mutex.unlock lock;
-    c
-  in
-  let note_exclusion e =
-    Mutex.lock lock;
-    if e > !exclusion then exclusion := e;
-    (match !best with
-    | Some (c, _, _) when c <= e + 1 -> stop := true
-    | _ -> ());
-    Mutex.unlock lock
-  in
-  let note_unsat_all () =
-    Mutex.lock lock;
-    unsat_all := true;
-    stop := true;
-    Mutex.unlock lock
-  in
-  let stopped () =
-    Mutex.lock lock;
-    let s = !stop in
-    Mutex.unlock lock;
-    s
-  in
-  let can_exclude = options.opt_strategy = Minimize.Linear_descent in
-  let run_chunk ci =
-    Trace.with_span ~name:"mapper.cube_chunk"
-      ~args:[ ("chunk", Trace.Int ci) ]
-    @@ fun () ->
-    let solver = Solver.create ~capacity:(Encoding.var_capacity_hint inst) () in
-    if options.seed <> 0 then Solver.set_random_seed solver options.seed;
-    obs.obs_solver solver;
-    (match cancel with
-    | Some c -> Solver.set_stop solver (Some (Cancel.flag c))
-    | None -> ());
-    let cnf = Cnf.create solver in
-    let built =
-      obs.obs_phase "encode" (fun () ->
-          Encoding.build ~amo:options.amo ~costs:options.costs cnf inst)
-    in
-    let warmth =
-      if options.warm_start then
-        obs.obs_phase "warm_start" (fun () ->
-            heuristic_warmth ~options ~built inst)
-      else None
-    in
-    let msession = Minimize.new_session () in
-    let solves = ref 0 in
-    let concluded_all = ref true in
-    (* Tightest upper bound this chunk ever passed to the minimizer.
-       Every permanent bound the descent enforced is either one of these
-       or best-1 after a found model, so a pin-free UNSAT proves
-       "no model with F <= min (min_ub, best-1)". *)
-    let min_ub = ref max_int in
-    let positions =
-      List.filter (fun p -> p mod nchunks = ci) (List.init m Fun.id)
-    in
-    let remaining = ref (List.length positions) in
-    (try
-       List.iter
-         (fun p ->
-           if stopped () then raise Exit;
-           if
-             (match deadline with
-             | Some d -> Unix.gettimeofday () > d
-             | None -> false)
-             ||
-             match cancel with Some c -> Cancel.cancelled c | None -> false
-           then begin
-             concluded_all := false;
-             raise Exit
-           end;
-           let ub =
-             List.fold_left
-               (fun acc b ->
-                 match (acc, b) with
-                 | Some a, Some b -> Some (min a b)
-                 | (Some _ as x), None | None, x -> x)
-               None
-               [ bound; shared_cap (); Option.bind warmth snd ]
-           in
-           (match ub with Some u when u < !min_ub -> min_ub := u | _ -> ());
-           let g = Cnf.new_group cnf in
-           Cnf.within_group cnf g (fun () ->
-               Cnf.add cnf [ Encoding.layout_lit built p pivot ]);
-           let outcome =
-             (* telemetry: samples inside this cube carry its pin *)
-             Timeseries.with_label (Printf.sprintf "cube=%d" p) @@ fun () ->
-             obs.obs_phase "solve" (fun () ->
-                 Minimize.minimize ~session:msession
-                   ~strategy:options.opt_strategy
-                   ?deadline:(Option.map Fun.id deadline)
-                   ~conflict_limit:options.conflict_limit ?upper_bound:ub
-                   ?warm_start:(Option.map fst warmth)
-                   ~on_incumbent:obs.obs_incumbent ~cnf
-                   ~objective:(Encoding.objective built) ())
-           in
-           Cnf.retire_group cnf g;
-           decr remaining;
-           solves := !solves + outcome.Minimize.solves;
-           (match (outcome.Minimize.cost, outcome.Minimize.model) with
-           | Some c, Some mdl -> publish c mdl built
-           | _ -> ());
-           let concluded =
-             outcome.Minimize.optimal || outcome.Minimize.unsatisfiable
-           in
-           if not concluded then concluded_all := false
-           else if
-             can_exclude
-             && not (List.mem (Cnf.group_lit g) outcome.Minimize.core)
-           then begin
-             (* The refutation never used this cube's pin: the clause
-                database plus enforced bounds are UNSAT on their own, so
-                every sibling cube is dead under the same (or tighter)
-                bounds. *)
-             (match outcome.Minimize.cost with
-             | Some c -> note_exclusion (min (c - 1) !min_ub)
-             | None ->
-                 if !min_ub < max_int then note_exclusion !min_ub
-                 else note_unsat_all ());
-             raise Exit
-           end)
-         positions
-     with Exit ->
-       Mutex.lock lock;
-       pruned := !pruned + !remaining;
-       Mutex.unlock lock);
-    {
-      cc_stats = Solver.stats solver;
-      cc_solves = !solves;
-      cc_concluded = !concluded_all && !remaining = 0;
-    }
-  in
-  let chunk_ids = List.init nchunks Fun.id in
-  let results =
-    match pool with
-    | Some p when nchunks > 1 ->
-        Pool.await_all
-          (List.map (fun ci -> Pool.submit p (fun () -> run_chunk ci))
-             chunk_ids)
-    | _ -> List.map run_chunk chunk_ids
-  in
-  if !pruned > 0 then Metrics.add (Lazy.force cubes_pruned_total) !pruned;
-  let stats =
-    List.fold_left
-      (fun acc r -> Solver.add_stats acc r.cc_stats)
-      Solver.zero_stats results
-  in
-  let solves = List.fold_left (fun acc r -> acc + r.cc_solves) 0 results in
-  let all_concluded = List.for_all (fun r -> r.cc_concluded) results in
-  match !best with
-  | None ->
-      (* No model found.  The candidate is refuted (not merely out of
-         budget) when the whole formula was pin-freely unsat, every cube
-         ran to a conclusion, or a pin-free core excluded everything up
-         to the race bound this candidate was solved under — the same
-         "nothing better than the incumbent" verdict a bounded
-         non-cubed solve reports as unsat. *)
-      let refuted =
-        !unsat_all || all_concluded
-        || (match bound with Some b -> !exclusion >= b | None -> false)
-      in
-      if refuted then `Unsat stats else `Budget stats
-  | Some (cost, model, built) ->
-      (* Optimal when every cube concluded, or a pin-free refutation
-         excluded everything below the incumbent. *)
-      let optimal = all_concluded || !exclusion >= cost - 1 in
-      `Model
-        {
-          s_model = model;
-          s_built = built;
-          s_cost = cost;
-          s_optimal = optimal;
-          s_solves = solves;
-          s_stats = stats;
-          s_proof = None;
-          s_bounds = [];
-        }
-
 (* -- main entry ---------------------------------------------------------- *)
 
 (* What one candidate sub-architecture contributed to the race.  Models
@@ -714,9 +468,6 @@ type candidate_outcome =
 let run ?(options = default) ?session ?pool ?cancel ?on_progress ~arch circuit
     =
   let start = Unix.gettimeofday () in
-  (* Cube mode manages its own per-chunk solvers; ladder sessions only
-     apply to the plain per-candidate path. *)
-  let session = if options.cubes then None else session in
   (* Observation state shared by all candidate racers.  Everything here
      is either atomic or guarded by [obs_lock]; the callbacks run on
      whichever domain is solving. *)
@@ -831,7 +582,7 @@ let run ?(options = default) ?session ?pool ?cancel ?on_progress ~arch circuit
        means "not better", which preserves the min-over-candidates
        optimum.  Run inline (width 1), the caps replay the sequential
        scan's [prev.s_cost - 1] bounds exactly. *)
-    let run_candidate ?cube_pool index (sub_arch, _back) =
+    let run_candidate index (sub_arch, _back) =
       Trace.with_span ~name:"mapper.candidate"
         ~args:
           [
@@ -861,12 +612,8 @@ let run ?(options = default) ?session ?pool ?cancel ?on_progress ~arch circuit
           | None, c -> c
         in
         match
-          if options.cubes then
-            solve_instance_cubes ~options ~obs ~cancel ~deadline ~bound
-              ?pool:cube_pool (inst_of sub_arch)
-          else
-            solve_instance ~options ~obs ~cancel ~deadline ~bound ?session
-              ~index (inst_of sub_arch)
+          solve_instance ~options ~obs ~cancel ~deadline ~bound ?session
+            ~index (inst_of sub_arch)
         with
         | `Unsat stats ->
             C_unsat
@@ -902,18 +649,7 @@ let run ?(options = default) ?session ?pool ?cancel ?on_progress ~arch circuit
     in
     let workers = max 1 (min width ncand) in
     let results =
-      if options.cubes then
-        (* Cube mode: candidates run sequentially; the pool parallelism
-           goes to each candidate's cube chunks instead. *)
-        let fan p =
-          List.mapi (fun i c -> run_candidate ~cube_pool:p i c) candidates
-        in
-        if workers <= 1 then List.mapi (fun i c -> run_candidate i c) candidates
-        else (
-          match pool with
-          | Some p -> fan p
-          | None -> Pool.with_pool workers fan)
-      else if workers <= 1 then List.mapi (fun i c -> run_candidate i c) candidates
+      if workers <= 1 then List.mapi run_candidate candidates
       else
         let fan p =
           Pool.await_all
@@ -975,16 +711,8 @@ let run ?(options = default) ?session ?pool ?cancel ?on_progress ~arch circuit
           | None -> false)
           || match cancel with Some c -> Cancel.cancelled c | None -> false
         in
-        (* Cube-mode results also need the canonical re-solve when the
-           chunk race was nondeterministic (several chunks) or a
-           certificate is wanted (scoped cube solves never carry a
-           replayable proof); a deterministic single-chunk cube run
-           without certificates keeps its incremental result as-is. *)
-        let need_canonical =
-          ncand > 1 || (options.cubes && (workers > 1 || options.certificate))
-        in
         let s =
-          if (not need_canonical) || expired then s
+          if ncand <= 1 || expired then s
           else
             match
               Trace.with_span ~name:"mapper.canonical_resolve" (fun () ->

@@ -94,24 +94,12 @@ type options = {
           witness records whether the winning encoding carried the
           clauses ([w_symmetry]) so certificates replay against the
           same formula. *)
-  cubes : bool;
-      (** Cube-and-conquer (off by default): split each candidate's
-          top-level initial-layout choice — one cube per physical
-          position of the most-used logical qubit — and work the cubes
-          over long-lived per-chunk solvers with retractable clause
-          groups, shared-incumbent pruning, and [unsat_core]-driven
-          sibling pruning (an UNSAT core that never mentions a cube's
-          pin refutes every remaining cube at once;
-          [mapper.cubes_pruned] counts the kills).  Cube encodings skip
-          symmetry breaking and proof logging; certificates and
-          multi-chunk runs are finalized by the canonical fresh
-          re-solve.  Supersedes [?session] for the call. *)
 }
 
 val default : options
 (** Minimal strategy, subsets on, no timeout, unlimited conflicts,
     linear descent, sequential AMO, verification on, incumbent pruning
-    on, warm starts on, symmetry breaking on, cubes off, and [jobs]
+    on, warm starts on, symmetry breaking on, and [jobs]
     from the [QXM_JOBS] environment variable (default 1). *)
 
 (** {2 Ladder sessions}
@@ -255,8 +243,7 @@ val run :
 
     [?session] resumes a previous call's per-candidate solver state
     (see {!session}); the caller guarantees the same [arch] and
-    [circuit] across the session's calls.  Ignored when
-    [options.cubes] is set.
+    [circuit] across the session's calls.
 
     [?pool] shares an existing worker pool instead of spinning up
     [options.jobs] fresh domains — the portfolio layer passes its own so

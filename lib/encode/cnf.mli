@@ -118,30 +118,3 @@ val and_imp : t -> Qxm_sat.Lit.t list -> Qxm_sat.Lit.t -> unit
 
 val num_aux : t -> int
 (** Number of auxiliary variables allocated through this context. *)
-
-(** {2 Retractable clause groups}
-
-    Thin veneer over the solver's activation-literal scopes
-    ({!Qxm_sat.Solver.new_scope}): clauses added inside {!within_group}
-    are tagged with the group's negated activation literal, stay active
-    (assumed) on every solve, and are permanently discarded by
-    {!retire_group}.  Distinct from the lint-event {!scope} type, which
-    only labels the clause stream for analyzers. *)
-
-type group = Qxm_sat.Solver.scope
-
-val new_group : t -> group
-(** Open a retractable clause group on the underlying solver. *)
-
-val within_group : t -> group -> (unit -> 'a) -> 'a
-(** Tag every clause added by the function with the group's activation
-    literal (applies to all of [add]/[add2]/[add3]/[add_end] and the
-    Tseitin helpers). *)
-
-val retire_group : t -> group -> unit
-(** Permanently discard the group's clauses; see
-    {!Qxm_sat.Solver.retire_scope}. *)
-
-val group_lit : group -> Qxm_sat.Lit.t
-(** The group's activation literal, as it may appear in
-    {!Qxm_sat.Solver.unsat_core}. *)

@@ -29,8 +29,7 @@ type outcome = {
           their own origin. *)
   proof : Qxm_sat.Proof.t option;
       (** DRUP trace captured at the final assumption-free [Unsat]
-          answer, when the solver had proof logging enabled and no clause
-          scopes were open.  For [Linear_descent] this certifies "no
+          answer, when the solver had proof logging enabled.  For [Linear_descent] this certifies "no
           model with F ≤ last enforced bound"; combined with [cost] it
           witnesses optimality.  [Binary_search] bisects with
           assumptions, whose UNSAT answers carry no empty clause — on
@@ -46,14 +45,6 @@ type outcome = {
           stream, which is how an offline auditor re-derives the proof's
           input clauses; a session's later rungs extend the same stream,
           so only the cumulative list replays correctly. *)
-  core : Qxm_sat.Lit.t list;
-      (** Assumption core of the last [Unsat] answer of this call
-          ({!Qxm_sat.Solver.unsat_core}), empty otherwise.  With an open
-          clause scope this tells a cube driver whether the refutation
-          used the scope's clauses (its {!Qxm_sat.Solver.scope_lit} is in
-          the core — only this cube is exhausted) or not (the instance is
-          refuted under the current bounds regardless of the pin — every
-          sibling cube is dead too). *)
 }
 
 (** {2 Sessions}

@@ -8,8 +8,9 @@
      completed inside the recorded window: mapper phases, minimize
      steps, portfolio stages, solver solves.
    - Counter samples ("solver.sample" C events, one per 64 conflicts)
-     carry the active context as a label ("stage=… cand=… rung=…
-     cube=…").  Attributing each inter-sample gap to the labels of the
+     carry the active context as a label ("stage=… cand=… rung=…").
+     Labels are generic [key=value] pairs, so any key a dump carries
+     becomes its own dimension.  Attributing each inter-sample gap to the labels of the
      sample that closes it recovers a wall-time breakdown even when the
      enclosing spans never closed — which is exactly the shape of a
      flight dump taken mid-solve or of a run killed by the watchdog.
@@ -312,7 +313,7 @@ let span_stats events ~t1 =
 
 (* -- sample attribution ---------------------------------------------------- *)
 
-(* "stage=ladder cand=0 rung=61 cube=3" -> [(stage, ladder); ...] *)
+(* "stage=ladder cand=0 rung=61" -> [(stage, ladder); ...] *)
 let parse_label label =
   String.split_on_char ' ' label
   |> List.filter_map (fun kv ->

@@ -75,51 +75,7 @@ val model : t -> bool array
 val unsat_core : t -> Lit.t list
 (** After [solve ~assumptions] returned [Unsat]: a subset of the assumptions
     sufficient for unsatisfiability (negated internally and re-negated here,
-    i.e. the returned literals are assumptions that conflict).  When clause
-    scopes are open, their activation literals count as assumptions and may
-    appear in the core — compare against {!scope_lit} to tell them apart. *)
-
-(** {1 Activation-literal clause scopes}
-
-    Retractable clause groups layered on [solve ~assumptions]: a clause
-    added while a scope is current is stored (and DRUP-logged) as
-    [C ∨ ¬a] for the scope's activation variable [a]; every [solve]
-    assumes [a] for each open scope, so the group behaves as if the
-    clauses were permanent.  {!retire_scope} adds the level-0 unit [¬a],
-    permanently satisfying the group — learnt clauses, saved phases and
-    activities all survive, which is what makes one long-lived solver
-    usable across the mapper's ladder rungs and cube pins. *)
-
-type scope
-(** An open clause group (its activation variable). *)
-
-val new_scope : t -> scope
-(** Open a new scope.  Allocates one fresh activation variable. *)
-
-val with_scope : t -> scope -> (unit -> 'a) -> 'a
-(** [with_scope s sc f] runs [f] with [sc] as the current clause scope:
-    every clause added inside gets the scope's negated activation literal
-    appended.  Restores the previous current scope on exit (scopes nest,
-    but a clause belongs to exactly one scope — the innermost).
-    @raise Invalid_argument if [sc] is not open. *)
-
-val retire_scope : t -> scope -> unit
-(** Permanently discard a scope's clauses (level-0 unit [¬a]) and drop
-    them from the clause database.  Must be called at decision level 0
-    (any point between [solve] calls).  Counted in [stats.scopes_retired].
-    @raise Invalid_argument if [sc] is not open. *)
-
-val scope_lit : scope -> Lit.t
-(** The scope's positive activation literal, as it appears in
-    {!unsat_core}: a core that contains [scope_lit sc] depends on the
-    scope's clauses; a core without it refutes the instance independently
-    of them. *)
-
-val open_scopes : t -> int
-(** Number of currently open scopes.  An assumption-free [Unsat] with
-    open scopes is still conditional on them — proof consumers must treat
-    it as assumption-based (no empty clause is derived for the
-    unconditional formula). *)
+    i.e. the returned literals are assumptions that conflict). *)
 
 (** Search statistics, cumulative over the solver's lifetime. *)
 type stats = {
@@ -158,9 +114,6 @@ type stats = {
           quarter of it is garbage). *)
   arena_relocations : int;
       (** Clauses moved by arena collections, total. *)
-  scopes_retired : int;
-      (** Activation-literal clause scopes retired over the solver's
-          lifetime (see {!new_scope} / {!retire_scope}). *)
 }
 
 val stats : t -> stats
@@ -277,11 +230,8 @@ val check_invariants : t -> (string * string) list
     decision-level consistency), ["watch"] (two-watched-literal
     bookkeeping), ["heap"] (VSIDS heap well-formedness), ["arena"]
     (clause-arena header structure, cref validity of clause lists /
-    watch lists / reasons, and reason slot-0 discipline) or ["scope"]
-    (activation-literal scope bookkeeping: open/retired disjointness,
-    allocated activation variables, retired scopes pinned false at level
-    0, current-scope validity).  Empty means every audited invariant
-    holds. *)
+    watch lists / reasons, and reason slot-0 discipline).  Empty means
+    every audited invariant holds. *)
 
 (** Seeded-corruption hooks for the sanitizer's mutation tests.  Each call
     deliberately breaks one invariant family so tests can prove
@@ -301,10 +251,6 @@ module Testing : sig
   val corrupt_arena : t -> bool
   (** Set an illegal header flag on the first arena clause so the
       ["arena"] audit reports it; [false] when no clause exists. *)
-
-  val corrupt_scope : t -> bool
-  (** Fabricate a retired-scope record whose activation variable was
-      never pinned false, so the ["scope"] audit reports it. *)
 
   val compact : t -> unit
   (** Force a copying collection of the clause arena right now,

@@ -283,8 +283,8 @@ let mapper_end_to_end =
 (* Differential: a conflict-limit ladder whose rungs share one mapper
    session (long-lived solvers, learnt clauses and descent bounds carried
    across rungs) must land on exactly the F* and optimality verdict that
-   fresh solvers per rung produce.  Clause scopes and session resume are
-   bookkeeping, never semantics. *)
+   fresh solvers per rung produce.  Session resume is bookkeeping, never
+   semantics. *)
 let session_ladder_matches_fresh =
   qtest ~count:8 "session ladder agrees with fresh solvers per rung"
     QCheck2.Gen.(int_range 0 10_000)
@@ -328,29 +328,6 @@ let symmetry_preserves_optimum =
       in
       match (run true, run false) with
       | Some (f1, o1, true), Some (f2, o2, true) -> f1 = f2 && o1 = o2
-      | _ -> false)
-
-(* Cube-and-conquer partitions the initial-layout choice; sequential or
-   fanned over a pool, it must reproduce the plain solve's optimum. *)
-let cubes_match_plain =
-  qtest ~count:6 "cube-and-conquer agrees with the plain exact solve"
-    QCheck2.Gen.(
-      let* seed = int_range 0 10_000 in
-      let* jobs = int_range 1 2 in
-      return (seed, jobs))
-    (fun (seed, jobs) ->
-      let c =
-        Generator.random_circuit ~seed ~qubits:3 ~cnots:5 ~singles:2
-      in
-      let run cubes =
-        let options = { Mapper.default with cubes; jobs } in
-        match Mapper.run ~options ~arch:Devices.qx4 c with
-        | Ok r -> Some (r.f_cost, r.objective_cost, r.optimal, r.verified)
-        | Error _ -> None
-      in
-      match (run true, run false) with
-      | Some (f1, o1, true, Some true), Some (f2, o2, true, Some true) ->
-          f1 = f2 && o1 = o2
       | _ -> false)
 
 let strategies_dominate_minimal =
@@ -399,6 +376,5 @@ let suite =
     mapper_end_to_end;
     session_ladder_matches_fresh;
     symmetry_preserves_optimum;
-    cubes_match_plain;
     strategies_dominate_minimal;
   ]
