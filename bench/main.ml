@@ -31,6 +31,8 @@ module Amo = Qxm_encode.Amo
 module Minimize = Qxm_opt.Minimize
 module Timeseries = Qxm_obs.Timeseries
 module Flight = Qxm_obs.Flight
+module Metrics = Qxm_obs.Metrics
+module Sjson = Qxm_json.Sjson
 
 (* ------------------------------------------------------------------ *)
 (* Part 1: regeneration                                                 *)
@@ -102,13 +104,33 @@ let regenerate_table1_slice () =
      recommended worker count (with symmetry breaking on, as by
      default).  Every record carries an explicit
      "timed_out" boolean — true iff the budget expired before the
-     proof closed — so compare.ml can flag rows that newly finish
-     (improvement) or newly time out (regression). *)
+     proof closed — so `qxm_prof --diff` can flag rows that newly
+     finish (improvement) or newly time out (regression).  A failed
+     row carries the solver counters it spent, under the same names as
+     a success row. *)
 
-let verified_json = function
-  | Some true -> "true"
-  | Some false -> "false"
-  | None -> "null"
+(* The solver counters a record carries, in record order, read through
+   [count]: success rows take them from the report's stats, failed rows
+   from a metrics-registry diff around the run.  [props_per_sec] (a
+   rate, success rows only) sits after binary_propagations. *)
+let solver_fields ?props_per_sec count =
+  let field k = (k, Sjson.int (count k)) in
+  [ field "conflicts"; field "propagations"; field "binary_propagations" ]
+  @ (match props_per_sec with
+    | Some r -> [ ("props_per_sec", Sjson.fixed 0 r) ]
+    | None -> [])
+  @ List.map field
+      [
+        "minor_words"; "arena_collections"; "arena_relocations";
+        "minimized_lits"; "subsumed_clauses"; "vivified_clauses";
+      ]
+  @ [
+      ( "glue",
+        Sjson.List
+          (List.map
+             (fun k -> Sjson.int (count k))
+             [ "glue_1"; "glue_2"; "glue_3_4"; "glue_5_8"; "glue_9_plus" ]) );
+    ]
 
 let hard_names =
   [
@@ -154,34 +176,28 @@ let emit_json ~suite ?flight_prefix file =
                 ~path:(Printf.sprintf "%s-%s.flight.ndjson" prefix e.name)
                 ())
             flight_prefix;
-          let t0 = Unix.gettimeofday () in
+          let t0 = Unix.gettimeofday () and before = Metrics.snapshot () in
           (* strategy and seed are recorded as actually used (after
              defaulting), not as requested, so a record is sufficient to
              reproduce its own run *)
-          let common wall rest =
-            Printf.sprintf
-              "  {\"suite\": \"%s\", \"benchmark\": \"%s\", \"device\": \
-               \"qx4\", \"strategy\": \"%s\", \"seed\": %d, \"jobs\": %d, \
-               \"wall_s\": %.3f, %s}"
-              suite e.name
-              (Strategy.name options.strategy)
-              options.seed jobs wall rest
+          let record wall rest =
+            Sjson.Obj
+              ([
+                 ("suite", Sjson.Str suite);
+                 ("benchmark", Sjson.Str e.name);
+                 ("device", Sjson.Str "qx4");
+                 ("strategy", Sjson.Str (Strategy.name options.strategy));
+                 ("seed", Sjson.int options.seed);
+                 ("jobs", Sjson.int jobs);
+                 ("wall_s", Sjson.fixed 3 wall);
+               ]
+              @ rest)
           in
           let record, timed_out =
             match Mapper.run ~options ~arch:Devices.qx4 e.circuit with
             | Ok r ->
                 let wall = Unix.gettimeofday () -. t0 in
                 let st = r.sat_stats in
-                (* flat per-stage wall-clock fields so compare.ml's
-                   line-based parser can attribute a regression to the
-                   stage that grew *)
-                let stage_fields =
-                  String.concat ", "
-                    (List.map
-                       (fun (name, s) ->
-                         Printf.sprintf "\"stage_%s_s\": %.3f" name s)
-                       r.phase_seconds)
-                in
                 (* propagation throughput over the solve stage (falling
                    back to total wall time when the stage breakdown is
                    missing), and the allocation counters the arena work
@@ -197,34 +213,43 @@ let emit_json ~suite ?flight_prefix file =
                     float_of_int st.Solver.propagations /. solve_s
                   else 0.0
                 in
-                ( common wall
-                  (Printf.sprintf
-                     "\"total_gates\": %d, \"f_cost\": %d, \
-                      \"objective_cost\": %d, \"optimal\": %b, \"timed_out\": \
-                      %b, \"verified\": %s, \"solves\": %d, \"workers\": %d, \
-                      \"pruned_by_incumbent\": %d, %s, \"conflicts\": %d, \
-                      \"propagations\": %d, \"binary_propagations\": %d, \
-                      \"props_per_sec\": %.0f, \"minor_words\": %d, \
-                      \"arena_collections\": %d, \"arena_relocations\": %d, \
-                      \"minimized_lits\": %d, \"subsumed_clauses\": %d, \
-                      \"vivified_clauses\": %d, \"glue\": [%d, %d, %d, %d, \
-                      %d]"
-                     r.total_gates r.f_cost r.objective_cost r.optimal
-                     (not r.optimal) (verified_json r.verified) r.solves
-                     r.workers
-                     r.pruned_by_incumbent stage_fields st.Solver.conflicts
-                     st.Solver.propagations st.Solver.binary_propagations
-                     props_per_sec st.Solver.minor_words
-                     st.Solver.arena_collections st.Solver.arena_relocations
-                     st.Solver.minimized_lits st.Solver.subsumed_clauses
-                     st.Solver.vivified_clauses st.Solver.glue_1
-                     st.Solver.glue_2 st.Solver.glue_3_4 st.Solver.glue_5_8
-                     st.Solver.glue_9_plus),
+                let counters = Solver.stats_counters st in
+                ( record wall
+                    ([
+                       ("total_gates", Sjson.int r.total_gates);
+                       ("f_cost", Sjson.int r.f_cost);
+                       ("objective_cost", Sjson.int r.objective_cost);
+                       ("optimal", Sjson.Bool r.optimal);
+                       ("timed_out", Sjson.Bool (not r.optimal));
+                       ( "verified",
+                         match r.verified with
+                         | Some v -> Sjson.Bool v
+                         | None -> Sjson.Null );
+                       ("solves", Sjson.int r.solves);
+                       ("workers", Sjson.int r.workers);
+                       ("pruned_by_incumbent", Sjson.int r.pruned_by_incumbent);
+                     ]
+                    (* flat per-stage wall-clock fields, so a diff can
+                       attribute a regression to the stage that grew *)
+                    @ List.map
+                        (fun (name, s) ->
+                          ("stage_" ^ name ^ "_s", Sjson.fixed 3 s))
+                        r.phase_seconds
+                    @ solver_fields ~props_per_sec (fun k ->
+                          List.assoc k counters)),
                   not r.optimal )
             | Error _ ->
-                ( common
+                (* rows run one at a time, so the registry diff is the
+                   work this row spent *)
+                let spent = Metrics.diff (Metrics.snapshot ()) before in
+                ( record
                     (Unix.gettimeofday () -. t0)
-                    "\"failed\": true, \"timed_out\": true",
+                    ([
+                       ("failed", Sjson.Bool true);
+                       ("timed_out", Sjson.Bool true);
+                     ]
+                    @ solver_fields (fun k ->
+                          Metrics.count spent ("solver." ^ k))),
                   true )
           in
           (match flight_prefix with
@@ -237,7 +262,9 @@ let emit_json ~suite ?flight_prefix file =
         jobs_list)
     entries;
   let oc = open_out file in
-  Printf.fprintf oc "[\n%s\n]\n" (String.concat ",\n" (List.rev !records));
+  Printf.fprintf oc "[\n%s\n]\n"
+    (String.concat ",\n"
+       (List.rev_map (fun r -> "  " ^ Sjson.print r) !records));
   close_out oc;
   Printf.printf "bench: wrote %d records (%s suite, jobs %s) to %s\n"
     (List.length !records) suite

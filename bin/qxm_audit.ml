@@ -11,6 +11,7 @@ open Cmdliner
 module Auditor = Qxm_audit.Auditor
 module Proof = Qxm_sat.Proof
 module Diagnostic = Qxm_lint.Diagnostic
+module Sjson = Qxm_json.Sjson
 
 let files_arg =
   Arg.(
@@ -59,22 +60,23 @@ let read_file path =
   s
 
 let json_report path (r : Auditor.report) =
-  let diag_json =
-    "[" ^ String.concat ", " (List.map Diagnostic.to_json r.diagnostics) ^ "]"
-  in
-  let core =
-    match r.core with
-    | None -> "null"
-    | Some c ->
-        Printf.sprintf
-          "{\"core_inputs\": %d, \"total_inputs\": %d, \"core_steps\": %d, \
-           \"total_steps\": %d}"
-          c.Proof.core_inputs c.Proof.total_inputs c.Proof.core_steps
-          c.Proof.total_steps
-  in
-  Printf.sprintf "{\"file\": %s, \"ok\": %b, \"diagnostics\": %s, \"core\": %s}"
-    (Qxm_json.Sjson.print (Qxm_json.Sjson.Str path))
-    r.ok diag_json core
+  Sjson.Obj
+    [
+      ("file", Sjson.Str path);
+      ("ok", Sjson.Bool r.ok);
+      ("diagnostics", Sjson.List (List.map Diagnostic.to_json r.diagnostics));
+      ( "core",
+        match r.core with
+        | None -> Sjson.Null
+        | Some c ->
+            Sjson.Obj
+              [
+                ("core_inputs", Sjson.int c.Proof.core_inputs);
+                ("total_inputs", Sjson.int c.Proof.total_inputs);
+                ("core_steps", Sjson.int c.Proof.core_steps);
+                ("total_steps", Sjson.int c.Proof.total_steps);
+              ] );
+    ]
 
 let run files json max_steps equiv_max_qubits core_out =
   let failed = ref 0 in
@@ -86,7 +88,7 @@ let run files json max_steps equiv_max_qubits core_out =
       in
       if r.Auditor.core <> None then last_core := r.Auditor.core;
       if not r.Auditor.ok then incr failed;
-      if json then print_endline (json_report path r)
+      if json then print_endline (Sjson.print (json_report path r))
       else begin
         List.iter
           (fun d -> Printf.printf "%s: %s\n" path (Diagnostic.to_string d))

@@ -6,9 +6,12 @@
    stage, candidate, rung), top-k hot spans with interpolated
    p50/p90/p99, and the objective-bound trajectory.
 
-   Two input files: both must be bench JSON (bench/main.ml --json);
-   each wall-time regression is attributed to the stage and solver
-   counter that grew.  See doc/OBSERVABILITY.md. *)
+   Two input files: both must be bench JSON (bench/main.ml --json).
+   Every baseline row gets a verdict from the regression gate (ok,
+   improved, unstable, REGRESSED), each wall-time change is attributed
+   to the stage and solver counter that grew, and the exit status is 1
+   when any row regressed — CI's bench guard.  See
+   doc/PERFORMANCE.md and doc/OBSERVABILITY.md. *)
 
 open Cmdliner
 module Profile = Qxm_profile.Profile
@@ -42,7 +45,8 @@ let diff_arg =
     & info [ "diff" ]
         ~doc:
           "Force diff mode (implied when two files are given; rejects \
-           anything but two bench JSON inputs).")
+           anything but two bench JSON inputs).  Exits 1 when any row \
+           the baseline proved optimal regressed.")
 
 let fail msg =
   Printf.eprintf "qxm_prof: %s\n" msg;
@@ -73,7 +77,8 @@ let run files json top diff =
       | Ok d ->
           print_string
             (if json then Profile.render_diff_json d ^ "\n"
-             else Profile.render_diff_text d))
+             else Profile.render_diff_text d);
+          if Profile.regressions d > 0 then exit 1)
   | [ _ ] -> fail "--diff needs two bench JSON files (BASE NEW)"
   | _ -> fail "expected one artifact, or two bench JSON files to diff"
 
@@ -83,8 +88,8 @@ let () =
       ~doc:
         "Offline profile reports for qxmap/qxmapd observability \
          artifacts: wall-time attribution (phase, stage, rung), \
-         hot spans with p50/p90/p99, objective trajectory, and bench \
-         regression diffs.  See doc/OBSERVABILITY.md."
+         hot spans with p50/p90/p99, objective trajectory, and the \
+         bench regression gate.  See doc/OBSERVABILITY.md."
   in
   exit
     (Cmd.eval

@@ -30,6 +30,7 @@ module Metrics = Qxm_obs.Metrics
 module Timeseries = Qxm_obs.Timeseries
 module Flight = Qxm_obs.Flight
 module Validate = Qxm_svc.Validate
+module Sjson = Qxm_json.Sjson
 
 (* Numeric flags funnel through Qxm_svc.Validate — the same checks the
    qxmapd request parser applies — so a zero, negative, NaN or infinite
@@ -168,113 +169,83 @@ let sat_counters_of_diff diff =
 
 (* -- machine-readable report ---------------------------------------------- *)
 
-(* Minimal JSON construction.  Everything qxmap prints on stdout in
-   --json mode is exactly one object built from these, so
-   `qxmap map --json … | jq` always parses: all human-facing summaries,
-   progress lines and diagnostics go to stderr. *)
-module Json = struct
-  let escape s =
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
-  let str s = Printf.sprintf "\"%s\"" (escape s)
-  let int = string_of_int
-  let float f = Printf.sprintf "%.6f" f
-  let bool = string_of_bool
-
-  let opt f = function None -> "null" | Some v -> f v
-  let arr items = "[" ^ String.concat ", " items ^ "]"
-
-  let obj fields =
-    "{"
-    ^ String.concat ", "
-        (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" (escape k) v) fields)
-    ^ "}"
-end
+(* Everything qxmap prints on stdout in --json mode is exactly one
+   object built from these, so `qxmap map --json … | jq` always parses:
+   all human-facing summaries, progress lines and diagnostics go to
+   stderr.  Seconds are rounded to microseconds. *)
+let json_seconds = Sjson.fixed 6
 
 let json_counters counters =
-  Json.obj (List.map (fun (k, v) -> (k, Json.int v)) counters)
+  Sjson.Obj (List.map (fun (k, v) -> (k, Sjson.int v)) counters)
 
 let json_sat_stats stats = json_counters (Solver.stats_counters stats)
 
+let json_verified = function None -> Sjson.Null | Some b -> Sjson.Bool b
+
 let json_stages stages =
-  Json.arr
+  Sjson.List
     (List.map
        (fun (s : Portfolio.stage) ->
-         Json.obj
+         Sjson.Obj
            [
-             ("stage", Json.str s.stage);
-             ("spent_s", Json.float s.spent);
-             ("solves", Json.int s.solves);
-             ("outcome", Json.str s.outcome);
+             ("stage", Sjson.Str s.stage);
+             ("spent_s", json_seconds s.spent);
+             ("solves", Sjson.int s.solves);
+             ("outcome", Sjson.Str s.outcome);
            ])
        stages)
 
 let json_trajectory traj =
-  Json.arr
-    (List.map
-       (fun (t, c) -> Json.arr [ Json.float t; Json.int c ])
-       traj)
+  Sjson.List
+    (List.map (fun (t, c) -> Sjson.List [ json_seconds t; Sjson.int c ]) traj)
 
 (* The common tail of both report shapes: QASM inline unless it went to
    a file. *)
 let json_payload ~output elementary =
   match output with
-  | Some path -> [ ("output", Json.str path) ]
-  | None -> [ ("qasm", Json.str (Qasm.to_string elementary)) ]
+  | Some path -> [ ("output", Sjson.Str path) ]
+  | None -> [ ("qasm", Sjson.Str (Qasm.to_string elementary)) ]
 
 let mapper_json ~input ~output (r : Mapper.report) =
-  Json.obj
+  Sjson.Obj
     ([
-       ("mode", Json.str "exact");
-       ("input", Json.str input);
-       ("strategy", Json.str r.strategy_name);
-       ("seed", Json.int r.seed);
-       ("f_cost", Json.int r.f_cost);
-       ("objective_cost", Json.int r.objective_cost);
-       ("total_gates", Json.int r.total_gates);
-       ("optimal", Json.bool r.optimal);
-       ("verified", Json.opt Json.bool r.verified);
-       ("runtime_s", Json.float r.runtime);
-       ("solves", Json.int r.solves);
-       ("subsets_tried", Json.int r.subsets_tried);
-       ("workers", Json.int r.workers);
-       ("pruned_by_incumbent", Json.int r.pruned_by_incumbent);
+       ("mode", Sjson.Str "exact");
+       ("input", Sjson.Str input);
+       ("strategy", Sjson.Str r.strategy_name);
+       ("seed", Sjson.int r.seed);
+       ("f_cost", Sjson.int r.f_cost);
+       ("objective_cost", Sjson.int r.objective_cost);
+       ("total_gates", Sjson.int r.total_gates);
+       ("optimal", Sjson.Bool r.optimal);
+       ("verified", json_verified r.verified);
+       ("runtime_s", json_seconds r.runtime);
+       ("solves", Sjson.int r.solves);
+       ("subsets_tried", Sjson.int r.subsets_tried);
+       ("workers", Sjson.int r.workers);
+       ("pruned_by_incumbent", Sjson.int r.pruned_by_incumbent);
        ("trajectory", json_trajectory r.trajectory);
        ( "phase_seconds",
-         Json.obj
-           (List.map (fun (k, v) -> (k, Json.float v)) r.phase_seconds) );
+         Sjson.Obj
+           (List.map (fun (k, v) -> (k, json_seconds v)) r.phase_seconds) );
        ("sat_stats", json_sat_stats r.sat_stats);
      ]
     @ json_payload ~output r.elementary)
 
 let portfolio_json ~input ~output (r : Portfolio.report) =
-  Json.obj
+  Sjson.Obj
     ([
-       ("mode", Json.str "portfolio");
-       ("input", Json.str input);
-       ("strategy", Json.str r.strategy_name);
-       ("seed", Json.int r.seed);
-       ("f_cost", Json.int r.f_cost);
-       ("total_gates", Json.int r.total_gates);
-       ("provenance", Json.str (Portfolio.provenance_string r.provenance));
-       ("notes", Json.arr (List.map Json.str r.notes));
-       ("optimal", Json.bool r.optimal);
-       ("verified", Json.opt Json.bool r.verified);
-       ("runtime_s", Json.float r.runtime);
-       ("solves", Json.int r.solves);
+       ("mode", Sjson.Str "portfolio");
+       ("input", Sjson.Str input);
+       ("strategy", Sjson.Str r.strategy_name);
+       ("seed", Sjson.int r.seed);
+       ("f_cost", Sjson.int r.f_cost);
+       ("total_gates", Sjson.int r.total_gates);
+       ("provenance", Sjson.Str (Portfolio.provenance_string r.provenance));
+       ("notes", Sjson.List (List.map (fun n -> Sjson.Str n) r.notes));
+       ("optimal", Sjson.Bool r.optimal);
+       ("verified", json_verified r.verified);
+       ("runtime_s", json_seconds r.runtime);
+       ("solves", Sjson.int r.solves);
        ("stages", json_stages r.stages);
        ("trajectory", json_trajectory r.trajectory);
        ("sat_stats", json_sat_stats r.sat_stats);
@@ -285,15 +256,13 @@ let portfolio_json ~input ~output (r : Portfolio.report) =
    and the solver counters it spent, so a failure reports as much as a
    success does. *)
 let failure_json ~mode ~input ~failure ~runtime ?stages counters =
-  (* the printer's break hints may wrap a long stage list; keep one line *)
-  let failure = String.concat " " (String.split_on_char '\n' failure) in
-  Json.obj
+  Sjson.Obj
     ([
-       ("mode", Json.str mode);
-       ("input", Json.str input);
-       ("failed", Json.bool true);
-       ("failure", Json.str failure);
-       ("runtime_s", Json.float runtime);
+       ("mode", Sjson.Str mode);
+       ("input", Sjson.Str input);
+       ("failed", Sjson.Bool true);
+       ("failure", Sjson.Str failure);
+       ("runtime_s", json_seconds runtime);
      ]
     @ (match stages with
       | Some st -> [ ("stages", json_stages st) ]
@@ -786,7 +755,8 @@ let map_cmd =
       if solver_stats then print_sat_stats counters;
       if json then
         print_endline
-          (failure_json ~mode ~input ~failure ~runtime ?stages counters);
+          (Sjson.print
+             (failure_json ~mode ~input ~failure ~runtime ?stages counters));
       exit 1
     in
     if portfolio then begin
@@ -830,7 +800,7 @@ let map_cmd =
             certificate;
           if json then begin
             Option.iter (fun path -> Qasm.write_file path r.elementary) output;
-            print_endline (portfolio_json ~input ~output r)
+            print_endline (Sjson.print (portfolio_json ~input ~output r))
           end
           else emit output r.elementary;
           if r.verified = Some false then exit 1
@@ -877,7 +847,7 @@ let map_cmd =
             certificate;
           if json then begin
             Option.iter (fun path -> Qasm.write_file path r.elementary) output;
-            print_endline (mapper_json ~input ~output r)
+            print_endline (Sjson.print (mapper_json ~input ~output r))
           end
           else emit output r.elementary;
           if r.verified = Some false then exit 1

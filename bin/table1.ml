@@ -11,6 +11,7 @@ module Strategy = Qxm_exact.Strategy
 module Suite = Qxm_benchmarks.Suite
 module Circuit = Qxm_circuit.Circuit
 module Stochastic = Qxm_heuristic.Stochastic_swap
+module Sjson = Qxm_json.Sjson
 
 type cell = {
   cost : int option; (* total gates of mapped circuit; None = timeout *)
@@ -79,15 +80,17 @@ let run_exact ~arch ~timeout ~jobs ~strategy ~use_subsets ?upper_bound ?cert
         pruned = 0;
       }
 
-(* Minimal JSON emitter — records are flat, so strings/ints/floats/bools
-   cover everything and no dependency is needed. *)
 let json_cell name (c : cell) =
-  Printf.sprintf
-    "\"%s\": {\"cost\": %s, \"time_s\": %.3f, \"optimal\": %b, \"solves\": \
-     %d, \"workers\": %d, \"pruned_by_incumbent\": %d}"
-    name
-    (match c.cost with Some v -> string_of_int v | None -> "null")
-    c.time c.optimal c.solves c.workers c.pruned
+  ( name,
+    Sjson.Obj
+      [
+        ("cost", match c.cost with Some v -> Sjson.int v | None -> Sjson.Null);
+        ("time_s", Sjson.fixed 3 c.time);
+        ("optimal", Sjson.Bool c.optimal);
+        ("solves", Sjson.int c.solves);
+        ("workers", Sjson.int c.workers);
+        ("pruned_by_incumbent", Sjson.int c.pruned);
+      ] )
 
 (* a trailing ~ marks a best-found-but-not-proven-minimal cell *)
 let pp_cost fmt (c, cmin, optimal) =
@@ -299,23 +302,28 @@ let () =
         csv_oc;
       if !json <> None then
         json_records :=
-          Printf.sprintf
-            "  {\"benchmark\": \"%s\", \"device\": \"%s\", \"n\": %d, \
-             \"original_gates\": %d, \"jobs\": %d, \"ibm_style_gates\": %d, \
-             %s, %s, %s, %s, %s}"
-            e.name !device n orig (max 1 !jobs) ibm.total_gates
-            (json_cell "minimal" cmin)
-            (json_cell "subset" csub)
-            (json_cell "disjoint" cdis)
-            (json_cell "odd" codd)
-            (json_cell "triangle" ctri)
+          Sjson.Obj
+            [
+              ("benchmark", Sjson.Str e.name);
+              ("device", Sjson.Str !device);
+              ("n", Sjson.int n);
+              ("original_gates", Sjson.int orig);
+              ("jobs", Sjson.int (max 1 !jobs));
+              ("ibm_style_gates", Sjson.int ibm.total_gates);
+              json_cell "minimal" cmin;
+              json_cell "subset" csub;
+              json_cell "disjoint" cdis;
+              json_cell "odd" codd;
+              json_cell "triangle" ctri;
+            ]
           :: !json_records)
     entries;
   Option.iter
     (fun file ->
       let oc = open_out file in
       Printf.fprintf oc "[\n%s\n]\n"
-        (String.concat ",\n" (List.rev !json_records));
+        (String.concat ",\n"
+           (List.rev_map (fun r -> "  " ^ Sjson.print r) !json_records));
       close_out oc)
     !json;
   if !counted > 0 then begin

@@ -12,7 +12,12 @@
 
    Counter events (ph "C", e.g. the solver's telemetry samples) pass
    through the timestamp check like any other event.  A flight-recorder
-   dump also parses: its header line carries no "name" and is skipped.
+   dump also parses: its header line (the object with a "flight" key)
+   is skipped.
+
+   The input is read with Sjson: the whole document when it is a Chrome
+   trace, otherwise one JSON object per line.  A line that does not
+   parse — a truncated write, say — is a check failure, never skipped.
 
    Flags:
      --min-workers N    require at least N distinct tids
@@ -28,8 +33,9 @@
                         a flight dump, whose ring may have evicted the
                         registering span.
 
-   Exit 0 when all checks pass, 1 otherwise.  Stdlib only, so the CI
-   artifact check needs nothing beyond the repo itself. *)
+   Exit 0 when all checks pass, 1 otherwise. *)
+
+module Sjson = Qxm_json.Sjson
 
 let fail = ref false
 
@@ -38,67 +44,35 @@ let error fmt =
   Printf.eprintf "trace_check: ";
   Printf.kfprintf (fun oc -> output_char oc '\n') stderr fmt
 
-(* -- narrow JSON field extraction ----------------------------------------- *)
+(* -- input ---------------------------------------------------------------- *)
 
-(* The tracer emits one event object per line with fixed field shapes
-   ("name": "...", "ph": "B", "ts": 12.3, "tid": 4), so a string scan is
-   enough — no JSON parser needed. *)
+let str_mem k j = Option.bind (Sjson.member k j) Sjson.to_string_opt
+let num_mem k j = Option.bind (Sjson.member k j) Sjson.to_float_opt
+let arg_mem k j = Option.bind (Sjson.member "args" j) (Sjson.member k)
+let arg_str k j = Option.bind (arg_mem k j) Sjson.to_string_opt
 
-let find_key line key =
-  let pat = Printf.sprintf "\"%s\":" key in
-  let plen = String.length pat and llen = String.length line in
-  let rec scan i =
-    if i + plen > llen then None
-    else if String.sub line i plen = pat then Some (i + plen)
-    else scan (i + 1)
-  in
-  scan 0
-
-let skip_ws line i =
-  let n = String.length line in
-  let rec go i = if i < n && line.[i] = ' ' then go (i + 1) else i in
-  go i
-
-let string_field line key =
-  match find_key line key with
-  | None -> None
-  | Some i ->
-      let i = skip_ws line i in
-      if i >= String.length line || line.[i] <> '"' then None
-      else begin
-        let buf = Buffer.create 16 in
-        let n = String.length line in
-        let rec go i =
-          if i >= n then None
-          else
-            match line.[i] with
-            | '"' -> Some (Buffer.contents buf)
-            | '\\' when i + 1 < n ->
-                Buffer.add_char buf line.[i + 1];
-                go (i + 2)
-            | c ->
-                Buffer.add_char buf c;
-                go (i + 1)
-        in
-        go (i + 1)
-      end
-
-let number_field line key =
-  match find_key line key with
-  | None -> None
-  | Some i ->
-      let i = skip_ws line i in
-      let n = String.length line in
-      let j = ref i in
-      while
-        !j < n
-        && (match line.[!j] with
-           | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-           | _ -> false)
-      do
-        incr j
-      done;
-      if !j = i then None else float_of_string_opt (String.sub line i (!j - i))
+(* The event objects of a trace, each with where it came from ("event
+   N" inside a Chrome document, "line N" in a line stream), and the
+   lines that did not parse. *)
+let read_events content =
+  match Result.map (Sjson.member "traceEvents") (Sjson.parse content) with
+  | Ok (Some (Sjson.List evs)) ->
+      (List.mapi (fun i ev -> (Printf.sprintf "event %d" (i + 1), ev)) evs, [])
+  | Ok (Some _) -> ([], [ "traceEvents is not an array" ])
+  | Ok None | Error _ ->
+      let events = ref [] and bad = ref [] in
+      List.iteri
+        (fun i raw ->
+          let line = String.trim raw in
+          if line <> "" then
+            match Sjson.parse line with
+            | Ok j when Sjson.member "flight" j <> None -> ()
+            | Ok j ->
+                events := (Printf.sprintf "line %d" (i + 1), j) :: !events
+            | Error e ->
+                bad := Printf.sprintf "line %d: %s" (i + 1) e :: !bad)
+        (String.split_on_char '\n' content);
+      (List.rev !events, List.rev !bad)
 
 (* -- checks --------------------------------------------------------------- *)
 
@@ -160,89 +134,80 @@ let () =
      export, so references can precede their registration in file
      order — collect and resolve after the pass. *)
   let known_ids : (string, unit) Hashtbl.t = Hashtbl.create 8 in
-  let id_refs : (int * string * string) list ref = ref [] in
-  let ic = open_in path in
-  let lineno = ref 0 in
-  (try
-     while true do
-       let raw = input_line ic in
-       incr lineno;
-       let line = String.trim raw in
-       if String.length line > 0 && line.[0] = '{' && find_key line "name" <> None
-       then begin
-         match
-           ( string_field line "name",
-             string_field line "ph",
-             number_field line "ts",
-             number_field line "tid" )
-         with
-         | Some name, Some ph, Some ts, Some tid ->
-             incr total;
-             let tid = int_of_float tid in
-             let w =
-               match Hashtbl.find_opt workers tid with
-               | Some w -> w
-               | None ->
-                   let w = { stack = []; last_ts = neg_infinity; events = 0 } in
-                   Hashtbl.add workers tid w;
-                   w
-             in
-             w.events <- w.events + 1;
-             if ts < w.last_ts then
-               error "line %d: tid %d timestamp goes backwards (%.1f < %.1f)"
-                 !lineno tid ts w.last_ts;
-             w.last_ts <- ts;
-             List.iter
-               (fun p ->
-                 if
-                   String.length name >= String.length p
-                   && String.sub name 0 (String.length p) = p
-                 then Hashtbl.replace seen_prefix p true)
-               !required;
-             if !check_samples && ph = "C" && name = "solver.sample" then begin
-               incr samples;
-               if number_field line "conflicts" = None then
-                 error "line %d: solver.sample without a conflicts arg"
-                   !lineno
-             end;
-             if !check_request_ids && String.length name >= 4
-                && String.sub name 0 4 = "svc."
-             then begin
-               if name = "svc.request" && ph = "B" then
-                 match string_field line "id" with
-                 | Some id -> Hashtbl.replace known_ids id ()
-                 | None ->
-                     error "line %d: svc.request span without an id arg"
-                       !lineno
-               else begin
-                 (match string_field line "request" with
-                 | Some id -> id_refs := (!lineno, name, id) :: !id_refs
-                 | None -> ());
-                 if name = "svc.solve" && ph = "B"
-                    && string_field line "request" = None
-                 then
-                   error "line %d: svc.solve span without a request arg"
-                     !lineno
-               end
-             end;
-             (match ph with
-             | "B" -> w.stack <- name :: w.stack
-             | "E" -> (
-                 match w.stack with
-                 | top :: rest when top = name -> w.stack <- rest
-                 | top :: _ ->
-                     error
-                       "line %d: tid %d closes span %S but %S is innermost"
-                       !lineno tid name top
-                 | [] ->
-                     error "line %d: tid %d closes span %S with none open"
-                       !lineno tid name)
-             | "i" | "I" | "C" -> ()
-             | _ -> error "line %d: unknown phase %S" !lineno ph)
-         | _ -> error "line %d: event object missing name/ph/ts/tid" !lineno
-       end
-     done
-   with End_of_file -> close_in ic);
+  let id_refs : (string * string * string) list ref = ref [] in
+  let content =
+    try In_channel.with_open_bin path In_channel.input_all
+    with Sys_error e ->
+      prerr_endline ("trace_check: " ^ e);
+      exit 2
+  in
+  let events, bad = read_events content in
+  (match bad with
+  | [] -> ()
+  | first :: rest ->
+      error "%s" first;
+      if rest <> [] then
+        error "%d more line(s) are not JSON objects" (List.length rest));
+  List.iter
+    (fun (where, ev) ->
+      match
+        (str_mem "name" ev, str_mem "ph" ev, num_mem "ts" ev, num_mem "tid" ev)
+      with
+      | Some name, Some ph, Some ts, Some tid ->
+          incr total;
+          let tid = int_of_float tid in
+          let w =
+            match Hashtbl.find_opt workers tid with
+            | Some w -> w
+            | None ->
+                let w = { stack = []; last_ts = neg_infinity; events = 0 } in
+                Hashtbl.add workers tid w;
+                w
+          in
+          w.events <- w.events + 1;
+          if ts < w.last_ts then
+            error "%s: tid %d timestamp goes backwards (%.1f < %.1f)" where
+              tid ts w.last_ts;
+          w.last_ts <- ts;
+          List.iter
+            (fun prefix ->
+              if String.starts_with ~prefix name then
+                Hashtbl.replace seen_prefix prefix true)
+            !required;
+          if !check_samples && ph = "C" && name = "solver.sample" then begin
+            incr samples;
+            if arg_mem "conflicts" ev = None then
+              error "%s: solver.sample without a conflicts arg" where
+          end;
+          if !check_request_ids && String.starts_with ~prefix:"svc." name
+          then begin
+            if name = "svc.request" && ph = "B" then
+              match arg_str "id" ev with
+              | Some id -> Hashtbl.replace known_ids id ()
+              | None -> error "%s: svc.request span without an id arg" where
+            else begin
+              (match arg_str "request" ev with
+              | Some id -> id_refs := (where, name, id) :: !id_refs
+              | None -> ());
+              if name = "svc.solve" && ph = "B" && arg_str "request" ev = None
+              then error "%s: svc.solve span without a request arg" where
+            end
+          end;
+          (match ph with
+          | "B" -> w.stack <- name :: w.stack
+          | "E" -> (
+              match w.stack with
+              | top :: rest when top = name -> w.stack <- rest
+              | top :: _ ->
+                  error "%s: tid %d closes span %S but %S is innermost" where
+                    tid name top
+              | [] ->
+                  error "%s: tid %d closes span %S with none open"
+                    where tid name)
+          | "i" | "I" | "C" -> ()
+          | _ -> error "%s: unknown phase %S" where ph)
+      | _ -> error "%s: event object missing name/ph/ts/tid" where)
+    events;
   Hashtbl.iter
     (fun tid w ->
       List.iter
@@ -262,11 +227,11 @@ let () =
     error "no solver.sample counter events found (--samples)";
   if !check_request_ids then
     List.iter
-      (fun (lineno, name, id) ->
+      (fun (where, name, id) ->
         if not (Hashtbl.mem known_ids id) then
-          error "line %d: %s references request id %S never registered \
+          error "%s: %s references request id %S never registered \
                  by an svc.request span"
-            lineno name id)
+            where name id)
       (List.rev !id_refs);
   if !total = 0 then error "no trace events found in %s" path;
   if !fail then exit 1

@@ -94,9 +94,10 @@ let pp_failure fmt = function
       Format.fprintf fmt "circuit needs %d qubits, device has %d" logical
         physical
   | Exhausted stages ->
-      Format.fprintf fmt "every portfolio stage failed:";
+      (* plain spaces, not break hints: the message stays on one line *)
+      Format.pp_print_string fmt "every portfolio stage failed:";
       List.iter
-        (fun s -> Format.fprintf fmt "@ [%s: %s]" s.stage s.outcome)
+        (fun s -> Format.fprintf fmt " [%s: %s]" s.stage s.outcome)
         stages
 
 (* A stage result awaiting the final provenance decision. *)

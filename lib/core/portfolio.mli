@@ -160,6 +160,7 @@ type failure =
           happen unless every engine is disabled or faulted. *)
 
 val pp_failure : Format.formatter -> failure -> unit
+(** One line, however many stages [Exhausted] lists. *)
 
 val run :
   ?options:options ->

@@ -22,10 +22,23 @@ let escape buf s =
       | c -> Buffer.add_char buf c)
     s
 
+(* Integers print without a fraction; any other float prints as the
+   shortest of 15, 16 or 17 significant digits that reads back as the
+   same float, so 0.1 prints as "0.1" and every value round-trips. *)
 let print_num f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else
+    let s15 = Printf.sprintf "%.15g" f in
+    if float_of_string s15 = f then s15
+    else
+      let s16 = Printf.sprintf "%.16g" f in
+      if float_of_string s16 = f then s16 else Printf.sprintf "%.17g" f
+
+let int n = Num (float_of_int n)
+
+let fixed digits f =
+  let scale = 10.0 ** float_of_int digits in
+  Num (Float.round (f *. scale) /. scale)
 
 let print v =
   let buf = Buffer.create 256 in

@@ -1,10 +1,12 @@
-(** Minimal JSON values for the daemon wire protocol.
+(** The repository's one JSON codec.
 
-    The repository emits JSON by hand in several places ([qxmap --json],
-    the bench records); the daemon also has to {e read} it, because
-    [qxmapd] requests arrive as one JSON object per line.  This module
-    is a small, dependency-free value type with a strict recursive
-    descent parser and a printer that round-trips through it.
+    Every JSON document the repository writes or reads goes through
+    this module: the [qxmap --json] reports, trace and flight-recorder
+    events, lint and audit findings, the [table1]/[bench] records, optimality
+    certificates, the [qxmapd] wire protocol, and the readers behind
+    [qxm_prof] and [trace_check].  It is a small, dependency-free value
+    type with a strict recursive descent parser and a printer that
+    round-trips through it.
 
     The parser accepts exactly the JSON grammar (RFC 8259) with two
     deliberate limits suited to a line protocol: numbers are parsed as
@@ -25,8 +27,20 @@ val parse : string -> (t, string) result
 (** Parse one JSON document; trailing non-whitespace is an error. *)
 
 val print : t -> string
-(** Compact rendering; [parse (print v)] returns a value equal to [v]
-    (object field order preserved). *)
+(** One-line rendering with [", "] and [": "] separators; [parse (print
+    v)] returns a value equal to [v] (object field order preserved).
+    Integral numbers below 1e15 print without a fraction ([42]); other
+    finite numbers print as the shortest of 15, 16 or 17 significant
+    digits that parses back to the same float ([0.1]). *)
+
+(** {1 Constructors} *)
+
+val int : int -> t
+(** [Num] of an integer. *)
+
+val fixed : int -> float -> t
+(** [fixed d f] is [Num f] rounded to [d] decimals — the value
+    [Printf "%.<d>f"] would show, printed without trailing zeros. *)
 
 (** {1 Accessors} *)
 

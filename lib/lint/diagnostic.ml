@@ -1,3 +1,5 @@
+module Sjson = Qxm_json.Sjson
+
 type severity = Error | Warning | Info
 
 type loc = { file : string; line : int }
@@ -38,45 +40,24 @@ let to_string d =
   Printf.sprintf "%s%s %s: %s" prefix (severity_name d.severity) d.code
     d.message
 
-(* RFC 8259 string escaping: the two mandatory characters plus control
-   characters as \u escapes. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json d =
-  let fields =
-    [
-      Printf.sprintf "\"code\":\"%s\"" (json_escape d.code);
-      Printf.sprintf "\"severity\":\"%s\"" (severity_name d.severity);
-    ]
+  Sjson.Obj
+    ([
+       ("code", Sjson.Str d.code);
+       ("severity", Sjson.Str (severity_name d.severity));
+     ]
     @ (match d.loc with
       | Some { file; line } ->
-          [
-            Printf.sprintf "\"file\":\"%s\"" (json_escape file);
-            Printf.sprintf "\"line\":%d" line;
-          ]
+          [ ("file", Sjson.Str file); ("line", Sjson.int line) ]
       | None -> [])
-    @ [ Printf.sprintf "\"message\":\"%s\"" (json_escape d.message) ]
-  in
-  "{" ^ String.concat "," fields ^ "}"
+    @ [ ("message", Sjson.Str d.message) ])
 
 let list_to_json ds =
   match ds with
   | [] -> "[]"
   | _ ->
-      "[\n" ^ String.concat ",\n" (List.map to_json ds) ^ "\n]"
+      "[\n"
+      ^ String.concat ",\n" (List.map (fun d -> Sjson.print (to_json d)) ds)
+      ^ "\n]"
 
 let pp fmt d = Format.pp_print_string fmt (to_string d)

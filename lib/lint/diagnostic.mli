@@ -45,9 +45,9 @@ val to_string : t -> string
 (** Compiler-style one-liner: [file:line: severity QL-xxx: message] (the
     location prefix is omitted when there is none). *)
 
-val to_json : t -> string
-(** One JSON object with fields [code], [severity], [message] and, when
-    present, [file] and [line].  Strings are escaped per RFC 8259. *)
+val to_json : t -> Qxm_json.Sjson.t
+(** One JSON object with fields [code], [severity], [file] and [line]
+    (when there is a location), and [message]. *)
 
 val list_to_json : t list -> string
 (** JSON array of {!to_json} objects, one per line. *)

@@ -1,3 +1,5 @@
+module Sjson = Qxm_json.Sjson
+
 let dumps_total = lazy (Metrics.counter "obs.flight_dumps")
 let dump_errors = lazy (Metrics.counter "obs.flight_dump_errors")
 
@@ -98,17 +100,20 @@ let dump ~reason () =
               (ring_events @ Timeseries.to_events ())
           in
           let buf = Buffer.create 65536 in
-          Buffer.add_string buf
-            (Printf.sprintf
-               "{\"flight\": 1, \"reason\": \"%s\", \"dumped_ts_us\": %.1f, \
-                \"dropped\": %d, \"events\": %d}\n"
-               (Trace.json_escape reason) (Trace.now_us ()) dropped
-               (List.length all));
-          List.iter
-            (fun ev ->
-              Buffer.add_string buf (Trace.event_json ev);
-              Buffer.add_char buf '\n')
-            all;
+          let line j =
+            Buffer.add_string buf (Sjson.print j);
+            Buffer.add_char buf '\n'
+          in
+          line
+            (Sjson.Obj
+               [
+                 ("flight", Sjson.int 1);
+                 ("reason", Sjson.Str reason);
+                 ("dumped_ts_us", Sjson.fixed 1 (Trace.now_us ()));
+                 ("dropped", Sjson.int dropped);
+                 ("events", Sjson.int (List.length all));
+               ]);
+          List.iter (fun ev -> line (Trace.event_json ev)) all;
           write_atomic path (Buffer.contents buf);
           Metrics.incr (Lazy.force dumps_total);
           Some path

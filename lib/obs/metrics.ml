@@ -171,27 +171,6 @@ let quantile snap name q =
   | Some (Buckets b) -> quantile_of_buckets b q
   | _ -> None
 
-let value_json = function
-  | Count n -> string_of_int n
-  | Level f -> Printf.sprintf "%g" f
-  | Buckets b ->
-      (* trim the untouched tail so the common all-small case stays
-         compact *)
-      let last = ref (-1) in
-      Array.iteri (fun i v -> if v > 0 then last := i) b;
-      "["
-      ^ String.concat ", "
-          (List.init (!last + 1) (fun i -> string_of_int b.(i)))
-      ^ "]"
-
-let to_json snap =
-  "{"
-  ^ String.concat ", "
-      (List.map
-         (fun (n, v) -> Printf.sprintf "\"%s\": %s" n (value_json v))
-         snap)
-  ^ "}"
-
 let render_text snap =
   let buf = Buffer.create 1024 in
   List.iter
@@ -211,11 +190,6 @@ let render_text snap =
                (q 0.5) (q 0.9) (q 0.99)))
     snap;
   Buffer.contents buf
-
-let pp fmt snap =
-  List.iter
-    (fun (n, v) -> Format.fprintf fmt "%-36s %s@." n (value_json v))
-    snap
 
 let reset () =
   Mutex.lock lock;

@@ -89,12 +89,6 @@ val render_text : snapshot -> string
     [qxmapd --metrics-out] / the ["metrics"] wire op and
     [qxmap map --metrics-out]. *)
 
-val to_json : snapshot -> string
-(** One JSON object: counters and gauges as numbers, histograms as
-    arrays. *)
-
-val pp : Format.formatter -> snapshot -> unit
-
 val reset : unit -> unit
 (** Zero every registered metric (registrations survive).  For tests
     and the start of instrumented CLI runs. *)

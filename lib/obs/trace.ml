@@ -1,3 +1,5 @@
+module Sjson = Qxm_json.Sjson
+
 type arg = Int of int | Str of string | Float of float | Bool of bool
 
 type event = {
@@ -160,73 +162,38 @@ let events ?(extra = []) () =
 
 (* -- JSON rendering ------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let arg_json = function
-  | Int i -> string_of_int i
-  | Float f -> Printf.sprintf "%g" f
-  | Bool b -> string_of_bool b
-  | Str s -> Printf.sprintf "\"%s\"" (json_escape s)
-
-let args_json = function
-  | [] -> "{}"
-  | args ->
-      "{"
-      ^ String.concat ", "
-          (List.map
-             (fun (k, v) ->
-               Printf.sprintf "\"%s\": %s" (json_escape k) (arg_json v))
-             args)
-      ^ "}"
-
 let ph_string = function `B -> "B" | `E -> "E" | `I -> "i" | `C -> "C"
 
 let event_json ev =
-  Printf.sprintf
-    "{\"name\": \"%s\", \"ph\": \"%s\", \"ts\": %.1f, \"pid\": 0, \"tid\": \
-     %d, \"args\": %s}"
-    (json_escape ev.name) (ph_string ev.ph) ev.ts_us ev.tid
-    (args_json ev.args)
+  let arg = function
+    | Int i -> Sjson.int i
+    | Float f -> Sjson.Num f
+    | Bool b -> Sjson.Bool b
+    | Str s -> Sjson.Str s
+  in
+  Sjson.Obj
+    [
+      ("name", Sjson.Str ev.name);
+      ("ph", Sjson.Str (ph_string ev.ph));
+      ("ts", Sjson.fixed 1 ev.ts_us);
+      ("pid", Sjson.int 0);
+      ("tid", Sjson.int ev.tid);
+      ("args", Sjson.Obj (List.map (fun (k, v) -> (k, arg v)) ev.args));
+    ]
+
+let event_lines ?extra () =
+  List.map (fun ev -> Sjson.print (event_json ev)) (events ?extra ())
 
 let to_chrome_string ?extra () =
-  let evs = events ?extra () in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\": [\n";
-  List.iteri
-    (fun i ev ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf (event_json ev))
-    evs;
-  Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf
+  "{\"traceEvents\": [\n"
+  ^ String.concat ",\n" (event_lines ?extra ())
+  ^ "\n]}\n"
 
 let write_file path contents =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents)
+  Out_channel.with_open_text path (fun oc -> output_string oc contents)
 
 let write_chrome ?extra path = write_file path (to_chrome_string ?extra ())
 
 let write_ndjson ?extra path =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun ev ->
-      Buffer.add_string buf (event_json ev);
-      Buffer.add_char buf '\n')
-    (events ?extra ());
-  write_file path (Buffer.contents buf)
+  write_file path
+    (String.concat "" (List.map (fun l -> l ^ "\n") (event_lines ?extra ())))

@@ -86,13 +86,9 @@ val events : ?extra:event list -> unit -> event list
     companion recorder, grouped by tid with monotone timestamps — is
     merged into the matching worker groups by timestamp. *)
 
-val json_escape : string -> string
-(** JSON string-body escaping, shared with companion emitters (the
-    flight-recorder header line). *)
-
-val event_json : event -> string
-(** One event as a single-line Chrome trace-event JSON object — the
-    layout [bin/trace_check.exe] and [bin/qxm_prof.exe] parse. *)
+val event_json : event -> Qxm_json.Sjson.t
+(** One event as a Chrome trace-event JSON object, printed one per line
+    by the exporters below and by the flight recorder. *)
 
 val to_chrome_string : ?extra:event list -> unit -> string
 (** The buffered events as a Chrome trace-event JSON document

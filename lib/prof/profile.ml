@@ -32,9 +32,11 @@ type event = {
 }
 
 type bench_row = {
-  b_key : string; (* benchmark/device/strategy: the join key for --diff *)
+  b_key : string; (* suite/benchmark/device/strategy/jobs: the diff join key *)
   b_name : string;
   b_wall : float;
+  b_optimal : bool;
+  b_failed : bool;
   b_timed_out : bool;
   b_stages : (string * float) list; (* stage name -> seconds *)
   b_counters : (string * float) list;
@@ -78,12 +80,10 @@ let bench_row_of_json j =
                 and sl = String.length stage_suffix in
                 if
                   String.length k > pl + sl
-                  && String.sub k 0 pl = stage_prefix
-                  && String.sub k (String.length k - sl) sl = stage_suffix
+                  && String.starts_with ~prefix:stage_prefix k
+                  && String.ends_with ~suffix:stage_suffix k
                 then
-                  let stage =
-                    String.sub k pl (String.length k - pl - sl)
-                  in
+                  let stage = String.sub k pl (String.length k - pl - sl) in
                   ((stage, f) :: stages, counters)
                 else if k = "wall_s" then (stages, counters)
                 else (stages, (k, f) :: counters)
@@ -91,14 +91,20 @@ let bench_row_of_json j =
           ([], []) fields
       in
       let key field = Option.value ~default:"" (str_mem field j) in
+      let flag field =
+        Option.value ~default:false
+          (Option.bind (Sjson.member field j) Sjson.to_bool_opt)
+      in
       Some
         {
           (* jobs is part of the join key: the quick suite emits the
              same benchmark at two worker counts, and diffing a -j1 row
-             against a -jN row would manufacture a regression *)
+             against a -jN row would manufacture a regression.  Records
+             that predate the suite tag are quick-suite rows. *)
           b_key =
             String.concat "/"
               [
+                Option.value ~default:"quick" (str_mem "suite" j);
                 b_name;
                 key "device";
                 key "strategy";
@@ -108,9 +114,9 @@ let bench_row_of_json j =
               ];
           b_name;
           b_wall;
-          b_timed_out =
-            Option.value ~default:false
-              (Option.bind (Sjson.member "timed_out" j) Sjson.to_bool_opt);
+          b_optimal = flag "optimal";
+          b_failed = flag "failed";
+          b_timed_out = flag "timed_out";
           b_stages = List.rev stages;
           b_counters = List.rev counters;
         }
@@ -130,69 +136,47 @@ let parse_string content =
      (an object wrapper and an array of rows respectively — bench rows
      carry trailing commas that defeat line-at-a-time parsing), so try
      the whole document first. *)
-  let whole_doc () =
+  let whole_doc =
     match Sjson.parse content with
     | Ok j -> (
-        match Sjson.member "traceEvents" j with
-        | Some (Sjson.List evs) ->
+        match (Sjson.member "traceEvents" j, j) with
+        | Some (Sjson.List evs), _ ->
             Some (Trace_events (List.filter_map event_of_json evs))
-        | _ -> (
-            match j with
-            | Sjson.List rows -> (
-                match List.filter_map bench_row_of_json rows with
-                | [] -> None
-                | parsed -> Some (Bench_rows parsed))
-            | _ -> None))
+        | _, Sjson.List rows -> (
+            match List.filter_map bench_row_of_json rows with
+            | [] -> None
+            | parsed -> Some (Bench_rows parsed))
+        | _ -> None)
     | Error _ -> None
   in
-  match whole_doc () with
-  | Some input -> Ok input
-  | None -> (
-      match non_empty_lines content with
-      | [] -> Error "empty input"
-      | first :: rest as lines -> (
-          match Sjson.parse first with
-          | Error e -> Error ("line 1: bad JSON: " ^ e)
-          | Ok j when Sjson.member "flight" j <> None ->
-              let events =
-                List.filter_map
-                  (fun l ->
-                    match Sjson.parse l with
-                    | Ok j -> event_of_json j
-                    | Error _ -> None)
-                  rest
-              in
-              Ok
-                (Flight
-                   {
-                     f_reason =
-                       Option.value ~default:"unknown" (str_mem "reason" j);
-                     f_dropped =
-                       Option.value ~default:0 (int_mem "dropped" j);
-                     f_events = events;
-                   })
-          | Ok j when Sjson.member "ph" j <> None ->
-              Ok
-                (Trace_events
-                   (List.filter_map
-                      (fun l ->
-                        match Sjson.parse l with
-                        | Ok j -> event_of_json j
-                        | Error _ -> None)
-                      lines))
-          | Ok j when Sjson.member "benchmark" j <> None ->
-              Ok
-                (Bench_rows
-                   (List.filter_map
-                      (fun l ->
-                        match Sjson.parse l with
-                        | Ok j -> bench_row_of_json j
-                        | Error _ -> None)
-                      lines))
-          | Ok _ ->
-              Error
-                "unrecognised input: expected a Chrome trace, a flight \
-                 dump, an NDJSON event stream, or bench JSON lines"))
+  let lines = non_empty_lines content in
+  (* a line stream: lines that do not parse are skipped *)
+  let parsed =
+    List.filter_map (fun l -> Result.to_option (Sjson.parse l)) lines
+  in
+  match (whole_doc, lines) with
+  | Some input, _ -> Ok input
+  | None, [] -> Error "empty input"
+  | None, first :: _ -> (
+      match Sjson.parse first with
+      | Error e -> Error ("line 1: bad JSON: " ^ e)
+      | Ok j when Sjson.member "flight" j <> None ->
+          Ok
+            (Flight
+               {
+                 f_reason =
+                   Option.value ~default:"unknown" (str_mem "reason" j);
+                 f_dropped = Option.value ~default:0 (int_mem "dropped" j);
+                 f_events = List.filter_map event_of_json parsed;
+               })
+      | Ok j when Sjson.member "ph" j <> None ->
+          Ok (Trace_events (List.filter_map event_of_json parsed))
+      | Ok j when Sjson.member "benchmark" j <> None ->
+          Ok (Bench_rows (List.filter_map bench_row_of_json parsed))
+      | Ok _ ->
+          Error
+            "unrecognised input: expected a Chrome trace, a flight dump, \
+             an NDJSON event stream, or bench JSON lines")
 
 let parse_file path =
   match In_channel.with_open_bin path In_channel.input_all with
@@ -561,6 +545,76 @@ let analyze = function
 
 (* -- bench diff ------------------------------------------------------------ *)
 
+(* The regression gate.  Only rows the baseline proved optimal within
+   budget are gated: anytime incumbents are timing-dependent, so their
+   costs and wall times are too unstable to gate on, but one that newly
+   finishes is worth reporting. *)
+type verdict = Pass | Improved | Unstable | Regressed of string list
+
+(* Rows below this much propagation work are too noisy to gate on
+   throughput or allocation. *)
+let min_gated_propagations = 100_000.0
+
+(* Minor-words-per-propagation ceiling when the baseline predates the
+   allocation counters: the arena solver sits well under one word per
+   propagation, and a boxed hot loop costs tens. *)
+let absolute_words_per_prop = 8.0
+
+let gate (b : bench_row) (n : bench_row) =
+  if (not b.b_optimal) || b.b_timed_out then
+    if n.b_optimal && not n.b_timed_out then Improved else Unstable
+  else if n.b_failed then Regressed [ "was optimal, now failed" ]
+  else if n.b_timed_out then
+    Regressed [ Printf.sprintf "newly times out (was %.3fs)" b.b_wall ]
+  else if not n.b_optimal then Regressed [ "optimal flipped true -> false" ]
+  else
+    let counter (r : bench_row) k = List.assoc_opt k r.b_counters in
+    let allowed = (b.b_wall *. 1.25) +. 0.25 in
+    let wall =
+      if n.b_wall > allowed then
+        [
+          Printf.sprintf "wall %.3fs > allowed %.3fs (baseline %.3fs)"
+            n.b_wall allowed b.b_wall;
+        ]
+      else []
+    in
+    let gated =
+      match (counter b "propagations", counter n "propagations") with
+      | Some bp, Some np ->
+          bp >= min_gated_propagations && np >= min_gated_propagations
+      | _ -> false
+    in
+    let throughput =
+      match (counter b "props_per_sec", counter n "props_per_sec") with
+      | Some bp, Some np when gated && bp > 0.0 && np < bp /. 1.5 ->
+          [
+            Printf.sprintf "props/sec %.2fM < %.2fM (baseline %.2fM / 1.5)"
+              (np /. 1e6) (bp /. 1.5 /. 1e6) (bp /. 1e6);
+          ]
+      | _ -> []
+    in
+    let allocation =
+      match (counter n "minor_words", counter n "propagations") with
+      | Some words, Some props when gated && props > 0.0 ->
+          let per_prop = words /. props in
+          let allowed, origin =
+            match (counter b "minor_words", counter b "propagations") with
+            | Some bw, Some bp when bp > 0.0 ->
+                ((bw /. bp *. 1.5) +. 0.5, "baseline * 1.5 + 0.5")
+            | _ -> (absolute_words_per_prop, "absolute ceiling")
+          in
+          if per_prop > allowed then
+            [
+              Printf.sprintf "minor words/prop %.2f > %.2f (%s)" per_prop
+                allowed origin;
+            ]
+          else []
+      | _ -> []
+    in
+    match wall @ throughput @ allocation with
+    | [] -> Pass
+    | reasons -> Regressed reasons
+
 type diff_entry = {
   de_name : string;
   de_wall_base : float;
@@ -570,12 +624,23 @@ type diff_entry = {
   de_counter : (string * float * float) option;
       (* counter with the largest relative growth: name, base, new *)
   de_timed_out_change : bool; (* newly timed out *)
+  de_verdict : verdict;
 }
 
 type diff_report = {
   dr_entries : diff_entry list; (* sorted by wall growth, descending *)
-  dr_missing : string list; (* rows present on one side only *)
+  dr_missing : string list; (* ungated rows present on one side only *)
+  dr_lost : string list; (* gated baseline rows missing from the new run *)
 }
+
+let regressions d =
+  List.length d.dr_lost
+  + List.fold_left
+      (fun acc e ->
+        match e.de_verdict with
+        | Regressed reasons -> acc + List.length reasons
+        | Pass | Improved | Unstable -> acc)
+      0 d.dr_entries
 
 (* Counters whose growth plausibly explains a slowdown; gate noise like
    seeds or qubit counts out of the blame list. *)
@@ -587,81 +652,74 @@ let blameable_counter name =
   | _ ->
       (* learned-clause maintenance counters are also fair game *)
       List.exists
-        (fun prefix ->
-          String.length name >= String.length prefix
-          && String.sub name 0 (String.length prefix) = prefix)
+        (fun prefix -> String.starts_with ~prefix name)
         [ "glue_"; "subsumed"; "minimized"; "vivified" ]
 
+let diff_entry (b : bench_row) (n : bench_row) =
+  let stage =
+    List.fold_left
+      (fun acc (name, nv) ->
+        let bv = Option.value ~default:0.0 (List.assoc_opt name b.b_stages) in
+        let growth = nv -. bv in
+        match acc with
+        | Some (_, _, _, g) when g >= growth -> acc
+        | _ -> Some (name, bv, nv, growth))
+      None n.b_stages
+  in
+  let counter =
+    List.fold_left
+      (fun acc (name, nv) ->
+        if not (blameable_counter name) then acc
+        else
+          match List.assoc_opt name b.b_counters with
+          | Some bv when bv > 0.0 && nv > bv -> (
+              let ratio = nv /. bv in
+              match acc with
+              | Some (_, _, _, r) when r >= ratio -> acc
+              | _ -> Some (name, bv, nv, ratio))
+          | _ -> acc)
+      None n.b_counters
+  in
+  {
+    de_name = n.b_key;
+    de_wall_base = b.b_wall;
+    de_wall_new = n.b_wall;
+    de_stage = Option.map (fun (s, bv, nv, _) -> (s, bv, nv)) stage;
+    de_counter = Option.map (fun (c, bv, nv, _) -> (c, bv, nv)) counter;
+    de_timed_out_change = n.b_timed_out && not b.b_timed_out;
+    de_verdict = gate b n;
+  }
+
 let diff_rows base_rows new_rows =
-  let tbl = Hashtbl.create 32 in
-  List.iter (fun r -> Hashtbl.replace tbl r.b_key r) base_rows;
-  let missing = ref [] in
-  List.iter
-    (fun (r : bench_row) ->
-      if not (Hashtbl.mem tbl r.b_key) then
-        missing := (r.b_key ^ " (new only)") :: !missing)
-    new_rows;
-  List.iter
-    (fun (r : bench_row) ->
-      if
-        not (List.exists (fun (n : bench_row) -> n.b_key = r.b_key) new_rows)
-      then missing := (r.b_key ^ " (base only)") :: !missing)
-    base_rows;
-  let entries =
+  let find rows key = List.find_opt (fun r -> r.b_key = key) rows in
+  let new_only =
     List.filter_map
       (fun (n : bench_row) ->
-        match Hashtbl.find_opt tbl n.b_key with
-        | None -> None
-        | Some b ->
-            let stage =
-              List.fold_left
-                (fun acc (name, nv) ->
-                  let bv =
-                    Option.value ~default:0.0
-                      (List.assoc_opt name b.b_stages)
-                  in
-                  let growth = nv -. bv in
-                  match acc with
-                  | Some (_, _, _, g) when g >= growth -> acc
-                  | _ -> Some (name, bv, nv, growth))
-                None n.b_stages
-            in
-            let counter =
-              List.fold_left
-                (fun acc (name, nv) ->
-                  if not (blameable_counter name) then acc
-                  else
-                    match List.assoc_opt name b.b_counters with
-                    | Some bv when bv > 0.0 && nv > bv ->
-                        let ratio = nv /. bv in
-                        (match acc with
-                        | Some (_, _, _, r) when r >= ratio -> acc
-                        | _ -> Some (name, bv, nv, ratio))
-                    | _ -> acc)
-                None n.b_counters
-            in
-            Some
-              {
-                de_name = n.b_key;
-                de_wall_base = b.b_wall;
-                de_wall_new = n.b_wall;
-                de_stage =
-                  Option.map (fun (s, bv, nv, _) -> (s, bv, nv)) stage;
-                de_counter =
-                  Option.map (fun (c, bv, nv, _) -> (c, bv, nv)) counter;
-                de_timed_out_change = n.b_timed_out && not b.b_timed_out;
-              })
+        match find base_rows n.b_key with
+        | None -> Some (n.b_key ^ " (new only)")
+        | Some _ -> None)
       new_rows
+  in
+  let entries, base_only, lost =
+    List.fold_left
+      (fun (entries, base_only, lost) (b : bench_row) ->
+        match find new_rows b.b_key with
+        | Some n -> (diff_entry b n :: entries, base_only, lost)
+        | None when b.b_optimal && not b.b_timed_out ->
+            (entries, base_only, b.b_key :: lost)
+        | None -> (entries, (b.b_key ^ " (base only)") :: base_only, lost))
+      ([], [], []) base_rows
   in
   {
     dr_entries =
-      List.sort
+      List.stable_sort
         (fun a b ->
           compare
             (b.de_wall_new -. b.de_wall_base)
             (a.de_wall_new -. a.de_wall_base))
-        entries;
-    dr_missing = List.rev !missing;
+        (List.rev entries);
+    dr_missing = new_only @ List.rev base_only;
+    dr_lost = List.rev lost;
   }
 
 let diff input_base input_new =
@@ -756,8 +814,8 @@ let json_of_report ?(top = 10) r =
       [
         ("name", Str st.s_name);
         ("total_s", Num (s_of_us st.s_total_us));
-        ("count", Num (float_of_int st.s_count));
-        ("open", Num (float_of_int st.s_open));
+        ("count", int st.s_count);
+        ("open", int st.s_open);
         ("p50_s", q 0.5);
         ("p90_s", q 0.9);
         ("p99_s", q 0.99);
@@ -768,9 +826,9 @@ let json_of_report ?(top = 10) r =
       ("source", Str r.r_source);
       ( "reason",
         match r.r_reason with Some s -> Str s | None -> Null );
-      ("dropped", Num (float_of_int r.r_dropped));
-      ("events", Num (float_of_int r.r_num_events));
-      ("workers", Num (float_of_int r.r_tids));
+      ("dropped", int r.r_dropped);
+      ("events", int r.r_num_events);
+      ("workers", int r.r_tids);
       ("wall_s", Num (s_of_us r.r_wall_us));
       ("busy_s", Num (s_of_us r.r_busy_us));
       ("coverage", Num r.r_coverage);
@@ -780,15 +838,13 @@ let json_of_report ?(top = 10) r =
         | Some t ->
             Obj
               [
-                ("first_bound", Num (float_of_int t.t_first_bound));
-                ("best_bound", Num (float_of_int t.t_best_bound));
-                ("improvements", Num (float_of_int t.t_improvements));
+                ("first_bound", int t.t_first_bound);
+                ("best_bound", int t.t_best_bound);
+                ("improvements", int t.t_improvements);
                 ("last_improvement_s", Num (s_of_us t.t_last_improvement_us));
                 ("tail_s", Num (s_of_us t.t_tail_us));
                 ( "tail_rung",
-                  match t.t_tail_rung with
-                  | Some rung -> Num (float_of_int rung)
-                  | None -> Null );
+                  match t.t_tail_rung with Some r -> int r | None -> Null );
               ] );
       ("dimensions", List (List.map dim r.r_dims));
       ( "spans",
@@ -798,31 +854,45 @@ let json_of_report ?(top = 10) r =
 
 let render_json ?top r = Sjson.print (json_of_report ?top r)
 
+let verdict_label = function
+  | Pass -> "ok"
+  | Improved -> "improved"
+  | Unstable -> "unstable"
+  | Regressed _ -> "REGRESSED"
+
 let render_diff_text d =
   let buf = Buffer.create 1024 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  if d.dr_entries = [] then pf "no comparable rows\n"
-  else
-    List.iter
-      (fun e ->
-        let delta = e.de_wall_new -. e.de_wall_base in
-        pf "%-40s %8.3fs -> %8.3fs (%+.3fs)%s\n" e.de_name e.de_wall_base
-          e.de_wall_new delta
-          (if e.de_timed_out_change then "  NEWLY TIMED OUT" else "");
-        if delta > 0.0 then begin
-          (match e.de_stage with
-          | Some (stage, bv, nv) when nv > bv ->
-              pf "    stage %-12s grew %+.3fs (%.3fs -> %.3fs)\n" stage
-                (nv -. bv) bv nv
-          | _ -> ());
-          match e.de_counter with
-          | Some (counter, bv, nv) ->
-              pf "    counter %-12s x%.2f (%.0f -> %.0f)\n" counter
-                (nv /. bv) bv nv
-          | None -> ()
-        end)
-      d.dr_entries;
+  if d.dr_entries = [] && d.dr_lost = [] then pf "no comparable rows\n";
+  List.iter
+    (fun e ->
+      let delta = e.de_wall_new -. e.de_wall_base in
+      pf "%-10s %-40s %8.3fs -> %8.3fs (%+.3fs)%s\n"
+        (verdict_label e.de_verdict)
+        e.de_name e.de_wall_base e.de_wall_new delta
+        (if e.de_timed_out_change then "  NEWLY TIMED OUT" else "");
+      (match e.de_verdict with
+      | Regressed reasons -> List.iter (pf "    %s\n") reasons
+      | Improved -> pf "    newly finishes within budget\n"
+      | Pass | Unstable -> ());
+      if delta > 0.0 then begin
+        (match e.de_stage with
+        | Some (stage, bv, nv) when nv > bv ->
+            pf "    stage %-12s grew %+.3fs (%.3fs -> %.3fs)\n" stage
+              (nv -. bv) bv nv
+        | _ -> ());
+        match e.de_counter with
+        | Some (counter, bv, nv) ->
+            pf "    counter %-12s x%.2f (%.0f -> %.0f)\n" counter (nv /. bv)
+              bv nv
+        | None -> ()
+      end)
+    d.dr_entries;
+  List.iter (pf "%-10s %-40s missing from the new run\n" "REGRESSED") d.dr_lost;
   List.iter (fun m -> pf "unmatched row: %s\n" m) d.dr_missing;
+  (match regressions d with
+  | 0 -> pf "no regressions\n"
+  | n -> pf "%d regression(s)\n" n);
   Buffer.contents buf
 
 let json_of_diff d =
@@ -840,6 +910,12 @@ let json_of_diff d =
                    ("wall_new_s", Num e.de_wall_new);
                    ("delta_s", Num (e.de_wall_new -. e.de_wall_base));
                    ("newly_timed_out", Bool e.de_timed_out_change);
+                   ("verdict", Str (verdict_label e.de_verdict));
+                   ( "reasons",
+                     List
+                       (match e.de_verdict with
+                       | Regressed reasons -> List.map (fun r -> Str r) reasons
+                       | Pass | Improved | Unstable -> []) );
                    ( "stage",
                      match e.de_stage with
                      | Some (s, bv, nv) ->
@@ -862,7 +938,9 @@ let json_of_diff d =
                      | None -> Null );
                  ])
              d.dr_entries) );
+      ("lost", List (List.map (fun m -> Str m) d.dr_lost));
       ("unmatched", List (List.map (fun m -> Str m) d.dr_missing));
+      ("regressions", int (regressions d));
     ]
 
 let render_diff_json d = Sjson.print (json_of_diff d)

@@ -29,9 +29,13 @@ type event = {
 }
 
 type bench_row = {
-  b_key : string;  (** benchmark/device/strategy — the diff join key *)
+  b_key : string;
+      (** suite/benchmark/device/strategy/jobs — the diff join key; a
+          record without a suite tag is a quick-suite row *)
   b_name : string;
   b_wall : float;
+  b_optimal : bool;
+  b_failed : bool;
   b_timed_out : bool;
   b_stages : (string * float) list;  (** stage name -> seconds *)
   b_counters : (string * float) list;
@@ -94,7 +98,24 @@ val analyze : input -> report
 val render_text : ?top:int -> report -> string
 val render_json : ?top:int -> report -> string
 
-(** {1 Bench diff} *)
+(** {1 Bench diff}
+
+    [diff base fresh] joins two bench emissions row by row and gates
+    each baseline row.  Only rows the baseline proved optimal within
+    budget are gated; such a row regresses when it is missing from the
+    fresh run, failed, newly timed out, or no longer optimal, when its
+    wall time exceeds [1.25 × base + 0.25 s], or — on rows with at
+    least 100k propagations in both runs — when [props_per_sec] falls
+    below [base / 1.5] or minor words per propagation exceed
+    [base × 1.5 + 0.5] (8 when the baseline lacks the counters).  A
+    baseline anytime row that now finishes is an improvement; other
+    anytime rows are reported as unstable, never gated. *)
+
+type verdict =
+  | Pass  (** gated and within every threshold *)
+  | Improved  (** anytime baseline row that now finishes within budget *)
+  | Unstable  (** anytime baseline row: not gated *)
+  | Regressed of string list  (** one reason per threshold crossed *)
 
 type diff_entry = {
   de_name : string;
@@ -105,17 +126,27 @@ type diff_entry = {
   de_counter : (string * float * float) option;
       (** counter with the largest relative growth: name, base, new *)
   de_timed_out_change : bool;
+  de_verdict : verdict;
 }
 
 type diff_report = {
   dr_entries : diff_entry list;  (** sorted by wall growth, descending *)
-  dr_missing : string list;
+  dr_missing : string list;  (** ungated rows present on one side only *)
+  dr_lost : string list;
+      (** gated baseline rows missing from the fresh run (regressions) *)
 }
 
 val diff : input -> input -> (diff_report, string) result
-(** [diff base fresh] — both inputs must be [Bench_rows]; attributes
-    each wall-time regression to the stage and solver counter that
-    grew the most. *)
+(** [diff base fresh] — both inputs must be [Bench_rows]; gates every
+    baseline row and attributes each wall-time change to the stage and
+    solver counter that grew the most. *)
+
+val regressions : diff_report -> int
+(** Thresholds crossed, plus lost rows; nonzero fails the gate. *)
 
 val render_diff_text : diff_report -> string
+(** One verdict line per joined row ([ok], [improved], [unstable],
+    [REGRESSED]) with its reasons and attribution, then the one-sided
+    rows and a regression count. *)
+
 val render_diff_json : diff_report -> string

@@ -18,6 +18,7 @@ module Gate = Qxm_circuit.Gate
 module Circuit = Qxm_circuit.Circuit
 module Qasm = Qxm_circuit.Qasm
 module Diagnostic = Qxm_lint.Diagnostic
+module Sjson = Qxm_json.Sjson
 module Cnf_lint = Qxm_lint.Cnf_lint
 module Circuit_lint = Qxm_lint.Circuit_lint
 module Solver_lint = Qxm_lint.Solver_lint
@@ -53,12 +54,23 @@ let test_render_json () =
       ~loc:{ Diagnostic.file = "dir/b.qasm"; line = 7 }
       ~code:"QL-Q008" ~severity:Diagnostic.Error "bad \"token\"\n"
   in
-  let j = Diagnostic.to_json d in
-  Alcotest.(check bool) "escapes quotes" true
-    (contains_substring j "bad \\\"token\\\"\\n");
-  Alcotest.(check bool) "has file" true
-    (contains_substring j "\"file\":\"dir/b.qasm\"");
-  Alcotest.(check bool) "has line" true (contains_substring j "\"line\":7");
+  (* parse what the CLI prints and read the members back *)
+  let member_of doc k =
+    match Sjson.member k doc with
+    | Some v -> v
+    | None -> Alcotest.failf "member %S missing" k
+  in
+  (match Sjson.parse (Diagnostic.list_to_json [ d ]) with
+  | Ok (Sjson.List [ doc ]) ->
+      let str k = Sjson.to_string_opt (member_of doc k) in
+      Alcotest.(check (option string)) "code" (Some "QL-Q008") (str "code");
+      Alcotest.(check (option string)) "file" (Some "dir/b.qasm") (str "file");
+      Alcotest.(check (option int)) "line" (Some 7)
+        (Sjson.to_int_opt (member_of doc "line"));
+      Alcotest.(check (option string)) "message survives escaping"
+        (Some "bad \"token\"\n") (str "message")
+  | Ok _ -> Alcotest.fail "list_to_json is not a one-element array"
+  | Error e -> Alcotest.failf "list_to_json is not JSON: %s" e);
   Alcotest.(check string) "empty list" "[]" (Diagnostic.list_to_json []);
   Alcotest.(check bool) "list wraps objects" true
     (contains_substring (Diagnostic.list_to_json [ d ]) "[\n{");

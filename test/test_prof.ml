@@ -246,6 +246,176 @@ let test_diff_names_the_stage () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "render_diff_json is not JSON: %s" e
 
+(* -- the regression gate -------------------------------------------------- *)
+
+(* One bench record with the fields the gate reads.  A failed row
+   carries only the failure markers; [?words] omitted models a baseline
+   that predates the allocation counters. *)
+let gate_row ?suite ?(jobs = 1) ?(optimal = true) ?timed_out ?(failed = false)
+    ?(wall = 1.0) ?(props = 200_000) ?(pps = 1.5e6) ?words name =
+  let open Qxm_json.Sjson in
+  let fields =
+    (match suite with Some s -> [ ("suite", Str s) ] | None -> [])
+    @ [
+        ("benchmark", Str name);
+        ("device", Str "qx4");
+        ("strategy", Str "minimal");
+        ("jobs", int jobs);
+        ("wall_s", Num wall);
+      ]
+    @
+    if failed then [ ("failed", Bool true); ("timed_out", Bool true) ]
+    else
+      [
+        ("optimal", Bool optimal);
+        ("timed_out", Bool (Option.value ~default:(not optimal) timed_out));
+        ("propagations", int props);
+        ("props_per_sec", Num pps);
+      ]
+      @ match words with Some w -> [ ("minor_words", int w) ] | None -> []
+  in
+  "  " ^ print (Obj fields)
+
+let gate base fresh =
+  match Profile.diff (parse (bench_doc base)) (parse (bench_doc fresh)) with
+  | Ok d -> d
+  | Error e -> Alcotest.failf "diff failed: %s" e
+
+(* (row key, verdict label, reasons) for every joined row, in key order *)
+let verdicts (d : Profile.diff_report) =
+  List.map
+    (fun (e : Profile.diff_entry) ->
+      match e.de_verdict with
+      | Profile.Pass -> (e.de_name, "ok", [])
+      | Profile.Improved -> (e.de_name, "improved", [])
+      | Profile.Unstable -> (e.de_name, "unstable", [])
+      | Profile.Regressed reasons -> (e.de_name, "REGRESSED", reasons))
+    d.dr_entries
+  |> List.sort compare
+
+let check_single name ?(reason = "") expected (d : Profile.diff_report) =
+  match verdicts d with
+  | [ (_, label, reasons) ] ->
+      Alcotest.(check string) (name ^ ": verdict") expected label;
+      if reason <> "" then
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: reason mentions %S (got %s)" name reason
+             (String.concat "; " reasons))
+          true
+          (List.exists (fun r -> contains_substring r reason) reasons);
+      Alcotest.(check int)
+        (name ^ ": exit status follows the verdict")
+        (if expected = "REGRESSED" then 1 else 0)
+        (min 1 (Profile.regressions d))
+  | l -> Alcotest.failf "%s: expected one joined row, got %d" name (List.length l)
+
+let test_gate_completeness () =
+  let base = [ gate_row "r" ] in
+  check_single "optimal -> failed" "REGRESSED" ~reason:"now failed"
+    (gate base [ gate_row ~failed:true "r" ]);
+  check_single "optimal -> not optimal" "REGRESSED" ~reason:"optimal flipped"
+    (gate base [ gate_row ~optimal:false ~timed_out:false "r" ]);
+  check_single "newly times out" "REGRESSED" ~reason:"newly times out"
+    (gate base [ gate_row ~optimal:false ~timed_out:true "r" ]);
+  check_single "unchanged" "ok" (gate base base);
+  (* a gated row missing from the fresh run is lost, not unmatched *)
+  let d = gate base [ gate_row "other" ] in
+  Alcotest.(check (list string)) "lost row" [ "quick/r/qx4/minimal/j1" ]
+    d.dr_lost;
+  Alcotest.(check int) "lost row regresses" 1 (Profile.regressions d)
+
+let test_gate_wall () =
+  let base = [ gate_row ~wall:1.0 "r" ] in
+  check_single "wall over 1.25x + 0.25s" "REGRESSED" ~reason:"allowed 1.500s"
+    (gate base [ gate_row ~wall:1.6 "r" ]);
+  check_single "wall inside the allowance" "ok"
+    (gate base [ gate_row ~wall:1.45 "r" ])
+
+let test_gate_throughput () =
+  check_single "props/sec below base / 1.5" "REGRESSED" ~reason:"props/sec"
+    (gate [ gate_row ~pps:1.5e6 "r" ] [ gate_row ~pps:0.9e6 "r" ]);
+  check_single "props/sec within base / 1.5" "ok"
+    (gate [ gate_row ~pps:1.5e6 "r" ] [ gate_row ~pps:1.1e6 "r" ]);
+  check_single "too little work to gate" "ok"
+    (gate
+       [ gate_row ~props:50_000 ~pps:1.5e6 "r" ]
+       [ gate_row ~props:50_000 ~pps:0.1e6 "r" ])
+
+let test_gate_allocation () =
+  (* baseline 0.1 words/prop: the ceiling is 0.1 * 1.5 + 0.5 = 0.65 *)
+  check_single "words/prop over the baseline-derived ceiling" "REGRESSED"
+    ~reason:"baseline * 1.5 + 0.5"
+    (gate [ gate_row ~words:20_000 "r" ] [ gate_row ~words:200_000 "r" ]);
+  check_single "words/prop under the baseline-derived ceiling" "ok"
+    (gate [ gate_row ~words:20_000 "r" ] [ gate_row ~words:100_000 "r" ]);
+  (* no baseline counters: the absolute 8 words/prop ceiling *)
+  check_single "words/prop over the absolute ceiling" "REGRESSED"
+    ~reason:"absolute ceiling"
+    (gate [ gate_row "r" ] [ gate_row ~words:2_000_000 "r" ]);
+  check_single "words/prop under the absolute ceiling" "ok"
+    (gate [ gate_row "r" ] [ gate_row ~words:1_000_000 "r" ])
+
+let test_gate_anytime () =
+  let base = [ gate_row ~optimal:false ~wall:30.0 "r" ] in
+  check_single "anytime row newly finishes" "improved"
+    (gate base [ gate_row ~wall:5.0 "r" ]);
+  check_single "anytime row still anytime" "unstable"
+    (gate base [ gate_row ~optimal:false ~wall:60.0 "r" ]);
+  check_single "anytime baseline failing is not gated" "unstable"
+    (gate base [ gate_row ~failed:true "r" ])
+
+let test_gate_join () =
+  (* -j1 and -j2 rows of one benchmark join only with their own jobs
+     count: crossed, the fast -j1 baseline would see the slow -j2 row *)
+  let d =
+    gate
+      [ gate_row ~jobs:1 ~wall:1.0 "r"; gate_row ~jobs:2 ~wall:10.0 "r" ]
+      [ gate_row ~jobs:2 ~wall:10.0 "r"; gate_row ~jobs:1 ~wall:1.0 "r" ]
+  in
+  Alcotest.(check (list (triple string string (list string))))
+    "jobs not cross-joined"
+    [
+      ("quick/r/qx4/minimal/j1", "ok", []);
+      ("quick/r/qx4/minimal/j2", "ok", []);
+    ]
+    (verdicts d);
+  (* a baseline without suite tags holds quick-suite rows *)
+  let d = gate [ gate_row "r" ] [ gate_row ~suite:"quick" "r" ] in
+  check_single "untagged baseline joins quick rows" "ok" d;
+  Alcotest.(check (list string)) "nothing unmatched" [] d.dr_missing;
+  (* same benchmark name in both suites: never joined across suites *)
+  let d =
+    gate
+      [
+        gate_row ~suite:"quick" ~wall:1.0 "r";
+        gate_row ~suite:"hard" ~optimal:false ~wall:90.0 "r";
+      ]
+      [
+        gate_row ~suite:"hard" ~optimal:false ~wall:90.0 "r";
+        gate_row ~suite:"quick" ~wall:1.0 "r";
+      ]
+  in
+  Alcotest.(check (list (triple string string (list string))))
+    "suites not cross-joined"
+    [
+      ("hard/r/qx4/minimal/j1", "unstable", []);
+      ("quick/r/qx4/minimal/j1", "ok", []);
+    ]
+    (verdicts d)
+
+let test_gate_renders () =
+  let d = gate [ gate_row "r" ] [ gate_row ~failed:true "r" ] in
+  let text = Profile.render_diff_text d in
+  Alcotest.(check bool) "text flags the row" true
+    (contains_substring text "REGRESSED");
+  Alcotest.(check bool) "text counts the regression" true
+    (contains_substring text "1 regression(s)");
+  match Qxm_json.Sjson.parse (Profile.render_diff_json d) with
+  | Ok doc ->
+      Alcotest.(check (option int)) "json counts the regression" (Some 1)
+        Qxm_json.Sjson.(Option.bind (member "regressions" doc) to_int_opt)
+  | Error e -> Alcotest.failf "render_diff_json is not JSON: %s" e
+
 let test_span_quantile () =
   (* ten completed 100us spans: every quantile interpolates inside the
      64..128us bucket, reported in seconds *)
@@ -282,4 +452,14 @@ let suite =
     Alcotest.test_case "diff names stage and counter" `Quick
       test_diff_names_the_stage;
     Alcotest.test_case "span quantiles in seconds" `Quick test_span_quantile;
+    Alcotest.test_case "gate: failed, flipped, newly timed out" `Quick
+      test_gate_completeness;
+    Alcotest.test_case "gate: wall allowance" `Quick test_gate_wall;
+    Alcotest.test_case "gate: propagation throughput" `Quick
+      test_gate_throughput;
+    Alcotest.test_case "gate: minor words per propagation" `Quick
+      test_gate_allocation;
+    Alcotest.test_case "gate: anytime rows" `Quick test_gate_anytime;
+    Alcotest.test_case "gate: join on suite and jobs" `Quick test_gate_join;
+    Alcotest.test_case "gate: verdicts rendered" `Quick test_gate_renders;
   ]

@@ -285,6 +285,30 @@ let test_portfolio_exhausted_when_everything_disabled () =
       | Ok _ -> Alcotest.fail "nothing could have produced a result"
       | Error e -> Alcotest.failf "expected Exhausted, got %a" Portfolio.pp_failure e)
 
+let test_portfolio_failure_one_line () =
+  let stage name =
+    {
+      Portfolio.stage = name;
+      spent = 1.5;
+      solves = 3;
+      outcome = "failed: every solve came back unknown under the injected fault";
+    }
+  in
+  let msg =
+    Format.asprintf "%a" Portfolio.pp_failure
+      (Portfolio.Exhausted
+         [
+           stage "probe:triangle-placement-with-a-long-name";
+           stage "exact:4000-conflict-ladder-rung";
+           stage "exact:unlimited-resumed-ladder-session";
+           stage "heuristic:sabre-fallback-cascade";
+         ])
+  in
+  Alcotest.(check bool) "long message is longer than the margin" true
+    (String.length msg > 200);
+  Alcotest.(check bool) "no newline in the message" false
+    (String.contains msg '\n')
+
 let test_portfolio_too_many_logical () =
   match Portfolio.run ~arch:(Devices.line 2) (Circuit.empty 3) with
   | Error (Portfolio.Too_many_logical { logical = 3; physical = 2 }) -> ()
@@ -379,6 +403,8 @@ let suite =
     ("portfolio: exhausted telemetry", `Quick,
      test_portfolio_exhausted_when_everything_disabled);
     ("portfolio: too many logical", `Quick, test_portfolio_too_many_logical);
+    ("portfolio: failure prints on one line", `Quick,
+     test_portfolio_failure_one_line);
     ("portfolio: full-suite degradation sweep", `Slow,
      test_portfolio_degrades_on_full_suite);
     ("sanitized mapping sweep", `Quick, test_sanitized_mapping_sweep);

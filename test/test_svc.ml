@@ -152,6 +152,61 @@ let test_sjson_accessors () =
   Alcotest.(check (option string)) "missing" None
     (Option.bind (Sjson.member "zzz" j) Sjson.to_string_opt)
 
+let test_sjson_numbers () =
+  Alcotest.(check string) "0.1 prints as written" "0.1"
+    (Sjson.print (Sjson.Num 0.1));
+  Alcotest.(check string) "integers print without a fraction" "42"
+    (Sjson.print (Sjson.Num 42.));
+  Alcotest.(check string) "fixed rounds to its decimals" "1.235"
+    (Sjson.print (Sjson.fixed 3 1.23456));
+  Alcotest.(check string) "fixed drops trailing zeros" "0"
+    (Sjson.print (Sjson.fixed 3 0.0001))
+
+(* Finite floats over the whole range: raw IEEE-754 bit patterns,
+   subnormals, magnitudes near max_float, and short decimals.  Negative
+   zero and non-finite patterns are mapped to 0.5. *)
+let finite_float_gen =
+  let open QCheck2.Gen in
+  let of_bits b =
+    let f = Int64.float_of_bits b in
+    if Float.is_finite f && b <> Int64.min_int then f else 0.5
+  in
+  frequency
+    [
+      (3, map of_bits int64);
+      (1, map (fun b -> of_bits (Int64.logand b 0x800F_FFFF_FFFF_FFFFL)) int64);
+      (1, map (fun b -> of_bits (Int64.logor b 0x7FE0_0000_0000_0000L)) int64);
+      (1, map (fun n -> float_of_int n /. 1000.) int);
+    ]
+
+(* Strings mixing control bytes, the characters JSON escapes, printable
+   ASCII and multi-byte UTF-8. *)
+let json_string_gen =
+  let open QCheck2.Gen in
+  let piece =
+    oneof
+      [
+        map (String.make 1) (char_range '\000' '\031');
+        map (String.make 1) (char_range ' ' '~');
+        oneofl
+          [
+            "\""; "\\"; "/"; "\x7f"; "\xc3\xa9"; "\xe2\x82\xac";
+            "\xf0\x9f\x98\x80";
+          ];
+      ]
+  in
+  map (String.concat "") (list_size (int_bound 24) piece)
+
+let sjson_roundtrip_random =
+  qtest ~count:500 "sjson: parse (print v) = v on random floats and strings"
+    QCheck2.Gen.(pair finite_float_gen json_string_gen)
+    (fun (f, s) ->
+      let v =
+        Sjson.Obj
+          [ (s, Sjson.Num f); ("l", Sjson.List [ Sjson.Str s; Sjson.Num f ]) ]
+      in
+      Sjson.parse (Sjson.print v) = Ok v)
+
 (* -- content hashing ----------------------------------------------------- *)
 
 let test_chash () =
@@ -804,6 +859,8 @@ let suite =
     ("sjson: unicode escapes", `Quick, test_sjson_unicode);
     ("sjson: malformed input rejected", `Quick, test_sjson_rejects);
     ("sjson: accessors", `Quick, test_sjson_accessors);
+    ("sjson: number printing", `Quick, test_sjson_numbers);
+    sjson_roundtrip_random;
     ("chash: digest shape and stability", `Quick, test_chash);
     ("backoff: deterministic schedule", `Quick,
      test_backoff_deterministic_schedule);
